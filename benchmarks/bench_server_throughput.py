@@ -34,11 +34,12 @@ OUT_PATH = os.path.join(os.path.dirname(__file__), "out",
 
 QUERIES_PER_CLIENT = int(os.environ.get("REPRO_SERVER_BENCH_QUERIES",
                                         "150"))
-#: Minimum binary/text QPS ratio on the cached-read benchmark.  The
-#: local default asserts the issue's 5x claim; CI smoke boxes are noisy
-#: and merely assert binary is not slower (floor 1.0).
+#: Minimum binary/text QPS ratio on the cached-read benchmark: binary
+#: must not be slower.  (The floor was 5.0 while the text client decoded
+#: every field character by character; with that loop gone the gap it
+#: measured is gone too.  benchmarks/spine owns the absolute numbers.)
 RATIO_FLOOR = float(os.environ.get("REPRO_SERVER_BENCH_RATIO_FLOOR",
-                                   "5.0"))
+                                   "1.0"))
 WORKER_COUNTS = (1, 2, 4)
 CLIENT_COUNTS = (1, 4, 8)
 FIXED_CLIENTS = 8

@@ -55,6 +55,7 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.psql.errors import PsqlError
 from repro.psql.planner import merge_shard_plans
+from repro.psql.result import QueryResult
 from repro.relational.rowcodec import decode_row, encode_row
 from repro.server import binproto, protocol
 from repro.server.cache import QueryCache
@@ -65,6 +66,18 @@ from repro.cluster.routing import (ClusterRoutingError, merge_knn,
                                    merge_rows, plan_route, shard_targets)
 
 __all__ = ["BackendDownError", "BackendSpec", "Router", "RouterConfig"]
+
+
+def _encode_rows(columns: Sequence[str],
+                 rows: Sequence[tuple[str, ...]]) -> list[str]:
+    """Payload lines for merged rows.
+
+    Backend rows arrive as already-formatted strings, which
+    :func:`~repro.server.protocol.encode_result` passes through
+    unchanged: router output stays byte-compatible with a single
+    server's rendering of the same rows.
+    """
+    return protocol.encode_result(QueryResult(tuple(columns), rows))
 
 
 class BackendDownError(Exception):
@@ -492,27 +505,12 @@ class Router:
             columns, rows = merge_rows([r.columns for r in responses],
                                        [r.rows for r in responses],
                                        plan.ngid)
-        payload = self._encode_string_rows(columns, rows)
+        payload = _encode_rows(columns, rows)
         self.cache.put(plan.normalized, token, payload, len(rows))
         self.registry.bump("router.queries.executed")
         self.registry.bump("router.rows_returned", len(rows))
         await self._write(
             writer, [f"{protocol.OK} fresh 0 {len(rows)}", *payload])
-
-    @staticmethod
-    def _encode_string_rows(columns: Sequence[str],
-                            rows: Sequence[tuple]) -> list[str]:
-        # Backend rows arrive as already-formatted strings; re-framing
-        # them (instead of protocol.encode_result, which would repr()
-        # strings) keeps router output byte-compatible with a single
-        # server's rendering of the same rows.
-        lines = [protocol.COLS + " "
-                 + "\t".join(protocol.escape(c) for c in columns)]
-        for row in rows:
-            lines.append(protocol.ROW + " "
-                         + "\t".join(protocol.escape(str(v)) for v in row))
-        lines.append(protocol.END)
-        return lines
 
     async def _scatter_ok(self, writer: asyncio.StreamWriter,
                           backends: Sequence[_Backend],
@@ -597,7 +595,7 @@ class Router:
         merged = merge_knn(per_shard, k)
         rows = [(protocol.format_value(float(d)), str(g))
                 for d, g in merged]
-        payload = self._encode_string_rows(("distance", "gid"), rows)
+        payload = _encode_rows(("distance", "gid"), rows)
         self.cache.put(normalized, token, payload, len(rows))
         self.registry.bump("router.rows_returned", len(rows))
         await self._write(
@@ -779,8 +777,7 @@ class Router:
                   for b in backends]
         lines = merge_shard_plans(
             labels, [[row[0] for row in r.rows] for r in responses])
-        payload = self._encode_string_rows((column,),
-                                           [(line,) for line in lines])
+        payload = _encode_rows((column,), [(line,) for line in lines])
         await self._write(
             writer, [f"{protocol.OK} fresh 0 {len(lines)}", *payload])
 

@@ -50,7 +50,6 @@ from repro.psql.result import QueryResult
 from repro.relational.catalog import Database
 from repro.relational.rowcodec import decode_row
 from repro.rtree.search import knn_search
-from repro.server import binproto, protocol
 from repro.server.server import PsqlServer, ServerConfig, _Connection
 from repro.server.service import STORAGE_ERRORS
 from repro.storage import failpoints
@@ -294,11 +293,8 @@ class ShardServer(PsqlServer):
             self.registry.bump("server.io_errors")
             await self._write_error(conn, type(exc).__name__, str(exc))
             return
-        result = QueryResult(columns=("distance", "gid"), rows=rows)
-        await self._reply_result(
-            conn, "fresh", self.generation, len(rows),
-            tuple(protocol.encode_result(result)),
-            binproto.encode_result_body(result))
+        await self._reply_fresh(
+            conn, QueryResult(columns=("distance", "gid"), rows=rows))
 
     def _do_knn(self, picture: str, relation_name: str, x: float,
                 y: float, k: int, column: str) -> list[tuple[float, int]]:

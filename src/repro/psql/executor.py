@@ -21,9 +21,11 @@ a polygon :func:`_refine` additionally applies the exact region test.
 from __future__ import annotations
 
 import copy
+import operator
 import time
 from collections import OrderedDict
-from typing import Any, Iterable, Optional, Sequence
+from itertools import product
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from repro import obs
 from repro.geometry.point import Point
@@ -33,22 +35,30 @@ from repro.geometry.region import Region
 from repro.geometry.segment import Segment
 from repro.psql import ast
 from repro.psql.errors import PsqlError, PsqlSemanticError
-from repro.psql.functions import FunctionRegistry
+from repro.psql.functions import AggregateFunction, FunctionRegistry
 from repro.psql.parser import parse, parse_statement
-from repro.psql.planner import Plan, PlanNode, plan_query, \
-    sargable_conjuncts
+from repro.psql.planner import Plan, PlanNode, plan_query
 from repro.psql.prepare import PreparedStatement
 from repro.psql.result import PictorialObject, QueryResult
 from repro.relational.catalog import Database, mbr_of_value
-from repro.relational.relation import Relation, RowId
+from repro.relational.relation import Column, Relation, RowId
 from repro.rtree.join import JoinStats, nested_window_join, spatial_join
 from repro.rtree.search import SearchStats
 
-#: One candidate combination of rows: relation name -> (row id, row).
-Binding = dict[str, tuple[RowId, dict[str, Any]]]
+#: One heap row, keyed by column name.
+Row = dict[str, Any]
+#: One candidate combination of rows: a row of each from-clause relation,
+#: in from-clause order.
+Binding = tuple[Row, ...]
 
-_SYMMETRIC_OPS = {"overlapping", "disjoined", "intersecting"}
 _FLIP = {"covering": "covered-by", "covered-by": "covering"}
+#: The operators :func:`_refine` can sharpen beyond the MBR test.
+_REFINED_OPS = frozenset(_FLIP)
+_GEOMETRY = (Point, Segment, Region, Rect)
+_COMPARISONS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq, "<>": operator.ne, ">": operator.gt,
+    "<": operator.lt, ">=": operator.ge, "<=": operator.le,
+}
 
 
 class Session:
@@ -221,6 +231,20 @@ def execute(db: Database, text: str) -> QueryResult:
     return Session(db).execute(text)
 
 
+class _SelectItem(NamedTuple):
+    """One select-list item, resolved against the from-clause schemas."""
+
+    label: str
+    #: the item's value for a binding (an aggregate's: its argument's)
+    get: Callable[[Binding], Any]
+    #: the set-valued function folding a group's values, or None
+    aggregate: Optional[AggregateFunction]
+    #: False when the schema proves the item never yields a geometry (an
+    #: alphanumeric column, a constant); True for a pictorial column and
+    #: for function results, whose type is only known at runtime
+    pictorial: bool
+
+
 class _Execution:
     """State for executing a single query along its plan.
 
@@ -229,6 +253,12 @@ class _Execution:
     on plan-node kinds instead of re-deriving the decisions.  With
     ``annotate=True`` each executed node additionally records its actual
     row count and index-node accesses — the ``EXPLAIN ANALYZE`` payload.
+
+    Column references, function names and comparison operators are
+    resolved against the from-clause schemas once, here, into closures
+    over a :data:`Binding`; the per-row work of :meth:`run` is calling
+    them.  A query naming an unknown or ambiguous column therefore fails
+    whether or not any row qualifies.
     """
 
     def __init__(self, session: Session, query: ast.Query,
@@ -254,6 +284,11 @@ class _Execution:
                 raise PsqlSemanticError(f"unknown picture {pic!r}")
         self.plan = plan if plan is not None else session.plan(query)
         self.window: Optional[Rect] = None
+        #: where each relation's row sits in a binding
+        self._slots = {name: i for i, name in enumerate(query.relations)}
+        self._select = self._resolve_select()
+        self._where = (None if query.where is None
+                       else self._predicate(query.where))
 
     # -- top level ------------------------------------------------------------
 
@@ -262,10 +297,9 @@ class _Execution:
             bindings = self._bindings_from_indexes()
             if bindings is None:
                 bindings = self._bindings_from_at()
-            if self.query.where is not None:
+            if self._where is not None:
                 candidates = len(bindings)
-                bindings = [b for b in bindings
-                            if self._truth(self.query.where, b)]
+                bindings = list(filter(self._where, bindings))
                 if obs.ENABLED:
                     reg = obs.active()
                     reg.bump("psql.where.rows_in", candidates)
@@ -320,12 +354,8 @@ class _Execution:
         # but a '<=' scan must include the boundary key itself.
         if op == "<=":
             rows += relation.lookup(column, value)
-        seen: set[int] = set()
-        bindings: list[Binding] = []
-        for rid, row in rows:
-            if rid not in seen:
-                seen.add(rid)
-                bindings.append({relation.name: (rid, row)})
+        # (the two '<=' probes can meet a row twice: one binding per rid)
+        bindings: list[Binding] = [(row,) for row in dict(rows).values()]
         if obs.ENABLED:
             reg = obs.active()
             reg.bump("psql.plan.index_scan")
@@ -338,12 +368,6 @@ class _Execution:
             node.actual_rows = len(bindings)
             node.actual_accesses = len(rows)
         return bindings
-
-    def _find_sargable(self, cond: ast.Condition, relation: Relation,
-                       ) -> Optional[tuple[str, str, Any]]:
-        """The first ``indexed-column <op> literal`` conjunct, if any."""
-        found = sargable_conjuncts(cond, relation)
-        return found[0] if found else None
 
     # -- at-clause evaluation ------------------------------------------------------
 
@@ -368,25 +392,36 @@ class _Execution:
         if node.kind == "extend-cross":
             extend = node
             node = node.children[0]
-        if node.kind == "rtree-window":
-            base = self._window_search(node)
-        elif node.kind == "spatial-filter-scan":
-            base = self._spatial_filter_scan(node)
-        elif node.kind == "spatial-join":
-            base = self._juxtaposition(node)
+        if node.kind == "spatial-join":
+            names = tuple(node.props["relations"])
+            bindings = self._juxtaposition(node)
         else:
-            assert node.kind == "nested-mapping", node.kind
-            base = self._nested_mapping(node)
-        if extend is None:
-            return base
-        bindings = self._extend_cross(base, extend.props["relations"])
-        if self.annotate:
-            extend.actual_rows = len(bindings)
+            names = (node.props["relation"],)
+            if node.kind == "rtree-window":
+                rows = self._window_search(node)
+            elif node.kind == "spatial-filter-scan":
+                rows = self._spatial_filter_scan(node)
+            else:
+                assert node.kind == "nested-mapping", node.kind
+                rows = self._nested_mapping(node)
+            bindings = [(row,) for row in rows]
+        if extend is not None:
+            others = extend.props["relations"]
+            names += tuple(others)
+            extra = self._cross_product(others)
+            bindings = [b + e for b in bindings for e in extra]
+            if self.annotate:
+                extend.actual_rows = len(bindings)
+        # The access path put the at-clause's relations first; bindings
+        # are addressed in from-clause order.
+        order = [names.index(name) for name in self.query.relations]
+        if order != sorted(order):
+            bindings = list(map(operator.itemgetter(*order), bindings))
         return bindings
 
     # -- case 1: direct spatial search against a window ------------------------------
 
-    def _window_search(self, node: PlanNode) -> list[Binding]:
+    def _window_search(self, node: PlanNode) -> list[Row]:
         relation = self.relations[node.props["relation"]]
         column = node.props["column"]
         op = node.props["op"]
@@ -412,9 +447,9 @@ class _Execution:
                 node.actual_accesses = stats.nodes_visited + extra
         if self.annotate:
             node.actual_rows = len(rids)
-        return [{relation.name: (rid, relation.get(rid))} for rid in rids]
+        return [relation.get(rid) for rid in rids]
 
-    def _spatial_filter_scan(self, node: PlanNode) -> list[Binding]:
+    def _spatial_filter_scan(self, node: PlanNode) -> list[Row]:
         """MBR-test every tuple of the relation — no index involved.
 
         The planner only picks this when reading the whole heap beats
@@ -426,20 +461,20 @@ class _Execution:
         op = node.props["op"]
         window: Rect = node.props["window"]
         self.window = window
-        rids = [rid for rid, row in relation.rows()
+        rows = [row for _rid, row in relation.rows()
                 if _window_op(op, mbr_of_value(row[column]), window)]
         if obs.ENABLED:
             reg = obs.active()
             reg.bump("psql.plan.spatial_filter_scan")
-            reg.bump("psql.at.rows_out", len(rids))
+            reg.bump("psql.at.rows_out", len(rows))
             reg.trace("psql.plan", path="spatial-filter-scan",
-                      relation=relation.name, op=op, rows=len(rids))
+                      relation=relation.name, op=op, rows=len(rows))
         if self.measure:
             self.accesses += len(relation)
         if self.annotate:
-            node.actual_rows = len(rids)
+            node.actual_rows = len(rows)
             node.actual_accesses = len(relation)
-        return [{relation.name: (rid, relation.get(rid))} for rid in rids]
+        return rows
 
     def _search_op(self, tree: Any, op: str, window: Rect,
                    relation: Relation, column: str,
@@ -470,6 +505,7 @@ class _Execution:
     # -- case 2: juxtaposition ("geographic join") --------------------------------------
 
     def _juxtaposition(self, node: PlanNode) -> list[Binding]:
+        """Qualifying (left row, right row) pairs, at-clause order."""
         name_l, name_r = node.props["relations"]
         col_l, col_r = node.props["columns"]
         pic_l, pic_r = node.props["pictures"]
@@ -485,9 +521,10 @@ class _Execution:
             # possible, so qualify every non-intersecting pair.
             intersecting = set(spatial_join(tree_l, tree_r, Rect.intersects,
                                             stats=stats))
-            pairs = [(ra, rb)
-                     for ra, _ in rel_l.rows() for rb, _ in rel_r.rows()
-                     if (ra, rb) not in intersecting]
+            bindings = [(row_l, row_r)
+                        for ra, row_l in rel_l.rows()
+                        for rb, row_r in rel_r.rows()
+                        if (ra, rb) not in intersecting]
         else:
             predicate = OPERATORS[op]
             if node.props["strategy"] == "nested":
@@ -502,29 +539,31 @@ class _Execution:
             else:
                 pairs = spatial_join(tree_l, tree_r, predicate,
                                      stats=stats)
-            pairs = [(ra, rb) for ra, rb in pairs
-                     if self._refine(op,
-                                     rel_l.get(ra)[col_l],
-                                     rel_r.get(rb)[col_r])]
+            # One heap fetch per distinct row, however many pairs it is in.
+            rows_l = {ra: rel_l.get(ra) for ra in {ra for ra, _rb in pairs}}
+            rows_r = {rb: rel_r.get(rb) for rb in {rb for _ra, rb in pairs}}
+            bindings = [(rows_l[ra], rows_r[rb]) for ra, rb in pairs]
+            if op in _REFINED_OPS:
+                bindings = [b for b in bindings
+                            if _refine(op, b[0][col_l], b[1][col_r])]
         if obs.ENABLED:
             reg = obs.active()
             reg.bump("psql.plan.juxtaposition")
-            reg.bump("psql.at.rows_out", len(pairs))
+            reg.bump("psql.at.rows_out", len(bindings))
             reg.trace("psql.plan", path="juxtaposition",
                       relations=[name_l, name_r], op=op,
-                      strategy=node.props["strategy"], pairs=len(pairs))
+                      strategy=node.props["strategy"], pairs=len(bindings))
         if stats is not None:
             self.accesses += stats.nodes_accessed
         if self.annotate:
-            node.actual_rows = len(pairs)
+            node.actual_rows = len(bindings)
             if stats is not None:
                 node.actual_accesses = stats.nodes_accessed
-        return [{name_l: (ra, rel_l.get(ra)),
-                 name_r: (rb, rel_r.get(rb))} for ra, rb in pairs]
+        return bindings
 
     # -- case 3: nested mapping -------------------------------------------------------
 
-    def _nested_mapping(self, node: PlanNode) -> list[Binding]:
+    def _nested_mapping(self, node: PlanNode) -> list[Row]:
         inner_plan: Plan = node.props["_inner_plan"]
         inner_exec = _Execution(self.session, inner_plan.query,
                                 plan=inner_plan, annotate=self.annotate,
@@ -532,212 +571,156 @@ class _Execution:
         inner = inner_exec.run()
         if self.measure:
             self.accesses += inner_exec.accesses
-        inner_locs = _single_pictorial_column(inner, inner_plan.query,
-                                              self.db)
+        inner_locs = _location_column(inner_exec._select, inner)
         relation = self.relations[node.props["relation"]]
         column = node.props["column"]
         op = node.props["op"]
         tree = self.db.picture(node.props["picture"]).index(relation.name,
                                                             column)
         stats = SearchStats() if self.measure else None
-        rids: set[RowId] = set()
+        refined = op in _REFINED_OPS
+        found: dict[RowId, Row] = {}
         for value in inner_locs:
             window = mbr_of_value(value)
             for rid in self._search_op(tree, op, window, relation, column,
                                        stats=stats):
-                if self._refine(op, relation.get(rid)[column], value):
-                    rids.add(rid)
+                if rid not in found:
+                    row = relation.get(rid)
+                    if not refined or _refine(op, row[column], value):
+                        found[rid] = row
         if obs.ENABLED:
             reg = obs.active()
             reg.bump("psql.plan.nested_mapping")
-            reg.bump("psql.at.rows_out", len(rids))
+            reg.bump("psql.at.rows_out", len(found))
             reg.trace("psql.plan", path="nested-mapping",
                       relation=relation.name, op=op,
-                      inner_locations=len(inner_locs), rows=len(rids))
+                      inner_locations=len(inner_locs), rows=len(found))
         if stats is not None and stats.nodes_visited:
             self.accesses += stats.nodes_visited
         if self.annotate:
-            node.actual_rows = len(rids)
+            node.actual_rows = len(found)
             if stats is not None and stats.nodes_visited:
                 node.actual_accesses = stats.nodes_visited
-        return [{relation.name: (rid, relation.get(rid))}
-                for rid in sorted(rids)]
-
-    # -- refinement beyond MBRs ----------------------------------------------------------
-
-    @staticmethod
-    def _refine(op: str, left_value: Any, right_value: Any) -> bool:
-        """Exact region tests where geometry allows; MBR semantics otherwise."""
-        if op == "covered-by" and isinstance(right_value, Region):
-            if isinstance(left_value, Point):
-                return right_value.contains_point(left_value)
-            return right_value.contains_rect(mbr_of_value(left_value))
-        if op == "covering" and isinstance(left_value, Region):
-            if isinstance(right_value, Point):
-                return left_value.contains_point(right_value)
-            return left_value.contains_rect(mbr_of_value(right_value))
-        return True
+        return [found[rid] for rid in sorted(found)]
 
     # -- helpers ------------------------------------------------------------------------
 
-    def _loc_relation(self, loc: ast.LocRef) -> Relation:
-        """Resolve which relation a LocRef addresses."""
-        if loc.relation is not None:
-            if loc.relation not in self.relations:
-                raise PsqlSemanticError(
-                    f"{loc.relation!r} is not in the from-clause")
-            return self.relations[loc.relation]
-        candidates = [rel for rel in self.relations.values()
-                      if rel.has_column(loc.column)]
-        if not candidates:
-            raise PsqlSemanticError(
-                f"no relation in the from-clause has column {loc.column!r}")
-        if len(candidates) > 1:
-            raise PsqlSemanticError(
-                f"column {loc.column!r} is ambiguous; qualify it "
-                f"(e.g. {candidates[0].name}.{loc.column})")
-        return candidates[0]
+    def _cross_product(self, names: Iterable[str]) -> list[Binding]:
+        """Every combination of the named relations' rows, first name
+        outermost."""
+        return list(product(*([row for _rid, row
+                               in self.relations[name].rows()]
+                              for name in names)))
 
-    def _tree_for(self, relation_name: str, column: str) -> Any:
-        """The R-tree indexing (relation, column), from the on-clause pictures."""
-        pictures = self.query.pictures
-        if not pictures:
-            raise PsqlSemanticError(
-                "an at-clause requires an on-clause naming the picture(s)")
-        for pic_name in pictures:
-            picture = self.db.picture(pic_name)
-            if picture.has_index(relation_name, column):
-                return picture.index(relation_name, column)
-        raise PsqlSemanticError(
-            f"no picture in the on-clause indexes "
-            f"{relation_name}.{column}")
+    # -- resolving names, once per execution -------------------------------------------
 
-    def _cross_product(self, names: Sequence[str]) -> list[Binding]:
-        bindings: list[Binding] = [{}]
-        return self._extend_cross(bindings, names)
-
-    def _extend_cross(self, bindings: list[Binding],
-                      names: Iterable[str]) -> list[Binding]:
-        for name in names:
-            relation = self.relations[name]
-            bindings = [{**b, name: (rid, row)}
-                        for b in bindings for rid, row in relation.rows()]
-        return bindings
-
-    # -- where-clause evaluation ------------------------------------------------------
-
-    def _truth(self, cond: ast.Condition, binding: Binding) -> bool:
-        if isinstance(cond, ast.And):
-            return (self._truth(cond.left, binding)
-                    and self._truth(cond.right, binding))
-        if isinstance(cond, ast.Or):
-            return (self._truth(cond.left, binding)
-                    or self._truth(cond.right, binding))
-        if isinstance(cond, ast.Not):
-            return not self._truth(cond.operand, binding)
-        assert isinstance(cond, ast.Comparison)
-        left = self._value(cond.left, binding)
-        right = self._value(cond.right, binding)
-        return _compare(cond.op, left, right)
-
-    def _value(self, expr: ast.Expression, binding: Binding) -> Any:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.ColumnRef):
-            return self._column_value(expr, binding)
-        if isinstance(expr, ast.FunctionCall):
-            fn = self.session.functions.lookup(expr.name)
-            args = [self._value(a, binding) for a in expr.args]
-            return fn(*args)
-        raise PsqlSemanticError(f"cannot evaluate {expr!r}")
-
-    def _column_value(self, ref: ast.ColumnRef, binding: Binding) -> Any:
+    def _resolve_column(self, ref: ast.ColumnRef) -> tuple[int, Column]:
+        """The binding slot and schema column *ref* addresses."""
         if ref.relation is not None:
-            if ref.relation not in binding:
+            relation = self.relations.get(ref.relation)
+            if relation is None:
                 raise PsqlSemanticError(
                     f"{ref.relation!r} is not in the from-clause")
-            _rid, row = binding[ref.relation]
-            if ref.column not in row:
+            if not relation.has_column(ref.column):
                 raise PsqlSemanticError(
                     f"{ref.relation!r} has no column {ref.column!r}")
-            return row[ref.column]
-        holders = [name for name, (_rid, row) in binding.items()
-                   if ref.column in row]
-        if not holders:
-            raise PsqlSemanticError(f"unknown column {ref.column!r}")
-        if len(holders) > 1:
-            raise PsqlSemanticError(
-                f"column {ref.column!r} is ambiguous between "
-                f"{' and '.join(sorted(holders))}")
-        _rid, row = binding[holders[0]]
-        return row[ref.column]
+        else:
+            holders = [rel for rel in self.relations.values()
+                       if rel.has_column(ref.column)]
+            if not holders:
+                raise PsqlSemanticError(f"unknown column {ref.column!r}")
+            if len(holders) > 1:
+                names = sorted(rel.name for rel in holders)
+                raise PsqlSemanticError(
+                    f"column {ref.column!r} is ambiguous between "
+                    f"{' and '.join(names)}")
+            relation = holders[0]
+        return self._slots[relation.name], relation.column(ref.column)
 
-    # -- projection -------------------------------------------------------------------
+    def _getter(self, expr: ast.Expression) -> Callable[[Binding], Any]:
+        """*expr* as a function of one binding."""
+        if isinstance(expr, ast.Literal):
+            value = expr.value
+            return lambda _binding: value
+        if isinstance(expr, ast.ColumnRef):
+            slot, column = self._resolve_column(expr)
+            name = column.name
+            return lambda binding: binding[slot][name]
+        if isinstance(expr, ast.FunctionCall):
+            fn = self.session.functions.lookup(expr.name)
+            args = [self._getter(a) for a in expr.args]
+            return lambda binding: fn(*[arg(binding) for arg in args])
+        raise PsqlSemanticError(f"cannot evaluate {expr!r}")
 
-    def _project(self, bindings: list[Binding]) -> QueryResult:
-        items = self._expand_select()
-        aggregate_flags = [
-            isinstance(expr, ast.FunctionCall)
-            and self.session.functions.is_aggregate(expr.name)
-            for _label, expr in items]
-        if any(aggregate_flags):
-            return self._project_grouped(items, aggregate_flags, bindings)
-        columns = tuple(label for label, _expr in items)
-        result = QueryResult(columns=columns, window=self.window)
-        for binding in bindings:
-            row = tuple(self._value(expr, binding) for _label, expr in items)
-            result.rows.append(row)
-            self._collect_pictorial(result, binding, row, columns)
-        return result
+    def _predicate(self, cond: ast.Condition) -> Callable[[Binding], bool]:
+        """*cond* as a truth function of one binding."""
+        if isinstance(cond, ast.Not):
+            operand = self._predicate(cond.operand)
+            return lambda binding: not operand(binding)
+        if isinstance(cond, (ast.And, ast.Or)):
+            first = self._predicate(cond.left)
+            second = self._predicate(cond.right)
+            if isinstance(cond, ast.And):
+                return lambda binding: first(binding) and second(binding)
+            return lambda binding: first(binding) or second(binding)
+        assert isinstance(cond, ast.Comparison)
+        op = cond.op
+        compare = _COMPARISONS.get(op)
+        if compare is None:
+            raise PsqlSemanticError(f"unknown comparison operator {op!r}")
+        left = self._getter(cond.left)
+        right = self._getter(cond.right)
 
-    def _project_grouped(self, items: list[tuple[str, ast.Expression]],
-                         aggregate_flags: list[bool],
-                         bindings: list[Binding]) -> QueryResult:
-        """Aggregate projection (Section 2.1's set-valued functions).
+        def holds(binding: Binding) -> bool:
+            a, b = left(binding), right(binding)
+            try:
+                return bool(compare(a, b))
+            except TypeError as exc:
+                raise PsqlSemanticError(
+                    f"cannot compare {type(a).__name__} with "
+                    f"{type(b).__name__} using {op!r}") from exc
 
-        When the select list contains aggregates, the plain columns act
-        as grouping keys and each aggregate is evaluated over its
-        argument's values across the group — e.g.
-        ``select hwy-name, northest(loc) from highways`` yields the
-        northernmost coordinate of each whole highway.
+        return holds
+
+    def _resolve_select(self) -> list[_SelectItem]:
+        """The select list, ``*`` expanded, every name resolved.
+
+        When the list contains aggregates (Section 2.1's set-valued
+        functions) the plain columns act as grouping keys and each
+        aggregate is evaluated over its argument's values across the
+        group — e.g. ``select hwy-name, northest(loc) from highways``
+        yields the northernmost coordinate of each whole highway.
         """
-        for (label, expr), is_agg in zip(items, aggregate_flags):
-            if is_agg:
-                assert isinstance(expr, ast.FunctionCall)
+        functions = self.session.functions
+
+        def is_aggregate(expr: ast.Expression) -> bool:
+            return (isinstance(expr, ast.FunctionCall)
+                    and functions.is_aggregate(expr.name))
+
+        expanded = self._expand_select()
+        grouped = any(is_aggregate(expr) for _label, expr in expanded)
+        items = []
+        for label, expr in expanded:
+            aggregate = None
+            pictorial = True     # a function's result: known at runtime
+            if is_aggregate(expr):
                 if len(expr.args) != 1:
                     raise PsqlSemanticError(
                         f"aggregate {expr.name}() takes exactly one "
                         f"argument")
-            elif not isinstance(expr, ast.ColumnRef):
+                aggregate = functions.lookup_aggregate(expr.name)
+                (expr,) = expr.args
+            elif isinstance(expr, ast.ColumnRef):
+                pictorial = self._resolve_column(expr)[1].is_pictorial
+            elif grouped:
                 raise PsqlSemanticError(
                     f"select item {label!r} must be a plain column when "
                     f"aggregates are present (it becomes the group key)")
-
-        key_positions = [i for i, is_agg in enumerate(aggregate_flags)
-                         if not is_agg]
-        groups: dict[tuple, list[Binding]] = {}
-        for binding in bindings:
-            key = tuple(self._value(items[i][1], binding)
-                        for i in key_positions)
-            groups.setdefault(key, []).append(binding)
-
-        columns = tuple(label for label, _expr in items)
-        result = QueryResult(columns=columns, window=self.window)
-        for key, members in groups.items():
-            key_iter = iter(key)
-            row_values = []
-            for (label, expr), is_agg in zip(items, aggregate_flags):
-                if is_agg:
-                    assert isinstance(expr, ast.FunctionCall)
-                    fn = self.session.functions.lookup_aggregate(expr.name)
-                    values = [self._value(expr.args[0], b) for b in members]
-                    row_values.append(fn(values))
-                else:
-                    row_values.append(next(key_iter))
-            row = tuple(row_values)
-            result.rows.append(row)
-            self._collect_pictorial(result, members[0], row, columns)
-        return result
+            elif not isinstance(expr, ast.FunctionCall):
+                pictorial = False
+            items.append(_SelectItem(label, self._getter(expr), aggregate,
+                                     pictorial))
+        return items
 
     def _expand_select(self) -> list[tuple[str, ast.Expression]]:
         multi = len(self.query.relations) > 1
@@ -750,21 +733,66 @@ class _Execution:
                         items.append((label,
                                       ast.ColumnRef(column=col.name,
                                                     relation=name)))
-            elif isinstance(sel, ast.ColumnRef):
-                items.append((str(sel), sel))
             else:
                 items.append((str(sel), sel))
         return items
 
-    def _collect_pictorial(self, result: QueryResult, binding: Binding,
-                           row: tuple[Any, ...],
-                           columns: tuple[str, ...]) -> None:
-        """Send selected geometries to the graphical output channel."""
-        label = _row_label(row, columns)
-        for value in row:
-            if isinstance(value, (Point, Segment, Region, Rect)):
-                result.pictorial.append(
-                    PictorialObject(label=label, geometry=value))
+    # -- projection -------------------------------------------------------------------
+
+    def _project(self, bindings: list[Binding]) -> QueryResult:
+        items = self._select
+        result = QueryResult(columns=tuple(item.label for item in items),
+                             window=self.window)
+        if any(item.aggregate for item in items):
+            result.rows = self._grouped_rows(bindings)
+        else:
+            # Column at a time: one comprehension per select item.
+            result.rows = list(zip(*[[item.get(b) for b in bindings]
+                                     for item in items]))
+        # Send selected geometries to the graphical output channel.
+        pictorial = [i for i, item in enumerate(items) if item.pictorial]
+        if pictorial:
+            for row in result.rows:
+                label = _row_label(row)
+                for i in pictorial:
+                    if isinstance(row[i], _GEOMETRY):
+                        result.pictorial.append(
+                            PictorialObject(label=label, geometry=row[i]))
+        return result
+
+    def _grouped_rows(self, bindings: list[Binding]) -> list[tuple]:
+        """One row per distinct group key, in first-seen order."""
+        items = self._select
+        keys = [item.get for item in items if item.aggregate is None]
+        groups: dict[tuple, list[Binding]] = {}
+        for binding in bindings:
+            groups.setdefault(tuple([get(binding) for get in keys]),
+                              []).append(binding)
+        rows = []
+        for key, members in groups.items():
+            key_values = iter(key)
+            rows.append(tuple([
+                next(key_values) if item.aggregate is None
+                else item.aggregate([item.get(b) for b in members])
+                for item in items]))
+        return rows
+
+
+def _refine(op: str, left_value: Any, right_value: Any) -> bool:
+    """Exact region tests where geometry allows; MBR semantics otherwise.
+
+    Only the :data:`_REFINED_OPS` can be refined; callers skip the call
+    for every other operator.
+    """
+    if op == "covered-by" and isinstance(right_value, Region):
+        if isinstance(left_value, Point):
+            return right_value.contains_point(left_value)
+        return right_value.contains_rect(mbr_of_value(left_value))
+    if op == "covering" and isinstance(left_value, Region):
+        if isinstance(right_value, Point):
+            return left_value.contains_point(right_value)
+        return left_value.contains_rect(mbr_of_value(right_value))
+    return True
 
 
 def _window_op(op: str, mbr: Rect, window: Rect) -> bool:
@@ -782,89 +810,33 @@ def _window_op(op: str, mbr: Rect, window: Rect) -> bool:
     raise PsqlSemanticError(f"unknown spatial operator {op!r}")
 
 
-def _row_label(row: tuple[Any, ...], columns: tuple[str, ...]) -> str:
+def _row_label(row: tuple[Any, ...]) -> str:
     for value in row:
         if isinstance(value, str):
             return value
-    return "(unnamed)" if not columns else str(row[0])
+    return str(row[0]) if row else "(unnamed)"
 
 
-def _compare(op: str, left: Any, right: Any) -> bool:
-    try:
-        if op == "=":
-            return bool(left == right)
-        if op == "<>":
-            return bool(left != right)
-        if op == ">":
-            return bool(left > right)
-        if op == "<":
-            return bool(left < right)
-        if op == ">=":
-            return bool(left >= right)
-        if op == "<=":
-            return bool(left <= right)
-    except TypeError as exc:
-        raise PsqlSemanticError(
-            f"cannot compare {type(left).__name__} with "
-            f"{type(right).__name__} using {op!r}") from exc
-    raise PsqlSemanticError(f"unknown comparison operator {op!r}")
-
-
-def _single_pictorial_column(result: QueryResult,
-                             query: Optional[ast.Query] = None,
-                             db: Optional[Database] = None) -> list[Any]:
+def _location_column(items: list[_SelectItem],
+                     result: QueryResult) -> list[Any]:
     """The pictorial values an inner (nested) mapping produced.
 
     The inner query must expose exactly one pictorial column; that column
-    becomes the location binding of the outer mapping.  With result rows
-    the column is found by inspecting the values; an *empty* inner result
-    instead resolves the select list statically against the schema (when
-    *query* and *db* are given) — a legitimately empty inner mapping
-    yields an empty location set, it is not a semantic error.
+    becomes the location binding of the outer mapping.  Only the items
+    the schema does not rule out are inspected.  An *empty* inner result
+    whose select list could have produced a geometry is a legitimately
+    empty location set, not a semantic error.
     """
-    pictorial_indexes = set()
-    for row in result.rows:
-        for i, value in enumerate(row):
-            if isinstance(value, (Point, Segment, Region, Rect)):
-                pictorial_indexes.add(i)
-    if not pictorial_indexes:
-        if not result.rows:
-            if (query is None or db is None
-                    or _static_pictorial_count(query, db) != 0):
-                return []
-        raise PsqlSemanticError(
-            "the nested mapping selects no pictorial column to bind")
-    if len(pictorial_indexes) > 1:
+    candidates = [i for i, item in enumerate(items) if item.pictorial]
+    found = {i for row in result.rows for i in candidates
+             if isinstance(row[i], _GEOMETRY)}
+    if len(found) > 1:
         raise PsqlSemanticError(
             "the nested mapping selects more than one pictorial column")
-    idx = pictorial_indexes.pop()
+    if not found:
+        if candidates and not result.rows:
+            return []
+        raise PsqlSemanticError(
+            "the nested mapping selects no pictorial column to bind")
+    (idx,) = found
     return [row[idx] for row in result.rows]
-
-
-def _static_pictorial_count(query: ast.Query,
-                            db: Database) -> Optional[int]:
-    """How many pictorial columns the select list provably yields.
-
-    ``None`` when the answer cannot be determined from the schema alone
-    (a function call may compute a geometry at runtime).
-    """
-    count = 0
-    for sel in query.select:
-        if isinstance(sel, ast.Star):
-            for name in query.relations:
-                if db.has_relation(name):
-                    count += len(list(db.relation(name)
-                                      .pictorial_columns()))
-        elif isinstance(sel, ast.ColumnRef):
-            names = ([sel.relation] if sel.relation is not None
-                     else list(query.relations))
-            for name in names:
-                if db.has_relation(name):
-                    relation = db.relation(name)
-                    if relation.has_column(sel.column) and \
-                            relation.column(sel.column).is_pictorial:
-                        count += 1
-                        break
-        else:  # a function call: value type unknown until runtime
-            return None
-    return count

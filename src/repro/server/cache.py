@@ -9,10 +9,14 @@ insert/delete/repack bumps the generation
 can never be *served* — it simply stops being addressable and ages out
 of the LRU.
 
-The cache stores the **encoded payload lines** (see
-:func:`repro.server.protocol.encode_result`), not live
+The cache stores **encoded renderings** (see
+:func:`repro.server.protocol.encode_result` and
+:func:`repro.server.binproto.encode_result_body`), not live
 ``QueryResult`` objects: replaying a hit is a straight write of
-immutable strings, safe to share between connections and threads.
+immutable strings or bytes, safe to share between connections and
+threads.  An entry starts with the one rendering its producer's
+connection spoke; the other is derived from it the first time a
+connection of the other codec hits the entry, and kept.
 """
 
 from __future__ import annotations
@@ -21,16 +25,20 @@ import threading
 from collections import OrderedDict
 from typing import Optional
 
+from repro.psql.result import QueryResult
+from repro.server import binproto, protocol
+
 __all__ = ["CachedResult", "QueryCache"]
 
 
 class CachedResult:
-    """One cached, fully encoded query result.
+    """One cached, encoded query result.
 
-    ``payload`` holds the text-protocol lines; ``bbody`` the binary
-    result body (empty when the producer did not compute one).  Storing
-    both renderings means a cache hit needs zero conversion regardless
-    of which protocol the connection negotiated.
+    ``payload`` holds the text-protocol lines, ``bbody`` the binary
+    result body; whichever the producer did not render is empty until
+    :meth:`text` or :meth:`binary` derives it from the other.  Both
+    codecs carry the same cell strings, so a derived rendering is
+    byte-identical to one rendered from the ``QueryResult`` itself.
     """
 
     __slots__ = ("payload", "nrows", "generation", "bbody")
@@ -41,6 +49,20 @@ class CachedResult:
         self.nrows = nrows
         self.generation = generation
         self.bbody = bbody
+
+    def text(self) -> tuple[str, ...]:
+        """The ``COLS``/``ROW``*/``END`` lines."""
+        if not self.payload:
+            self.payload = tuple(protocol.encode_result(QueryResult(
+                *binproto.decode_result_body(self.bbody))))
+        return self.payload
+
+    def binary(self) -> bytes:
+        """The binary result body."""
+        if not self.bbody:
+            self.bbody = binproto.encode_result_body(QueryResult(
+                *protocol.decode_result(self.payload)))
+        return self.bbody
 
 
 class QueryCache:
@@ -86,7 +108,9 @@ class QueryCache:
     def put(self, normalized: str, generation: int,
             payload: tuple[str, ...], nrows: int,
             bbody: bytes = b"") -> None:
-        """Store an encoded result (evicting the LRU entry when full)."""
+        """Store an encoded result (evicting the LRU entry when full).
+
+        *payload* or *bbody* may be empty: one rendering is enough."""
         if self.capacity == 0:
             return
         with self._lock:

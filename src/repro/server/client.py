@@ -40,6 +40,10 @@ from repro.server.protocol import ProtocolError, Response
 
 __all__ = ["Client", "ClientStatement"]
 
+#: What ends every text response: a frame that is exactly ``END``.
+#: Newlines inside cells travel escaped, so the first match is the end.
+_TEXT_END = b"\n" + protocol.END.encode("ascii") + b"\n"
+
 
 class ClientStatement:
     """A server-side prepared statement, as the client sees it."""
@@ -85,7 +89,8 @@ class Client:
         self.port = port
         self._sock = socket.create_connection((host, port),
                                               timeout=timeout)
-        self._file = self._sock.makefile("rwb")
+        #: bytes received but not yet consumed (both framings)
+        self._inbuf = bytearray()
         #: True once the binary protocol is live on this connection.
         self.binary = False
         if binary:
@@ -235,7 +240,6 @@ class Client:
         except (OSError, ProtocolError):
             pass
         try:
-            self._file.close()
             self._sock.close()
         except OSError:
             pass
@@ -258,41 +262,44 @@ class Client:
         return self._read_binary_response()
 
     def _send_line(self, line: str) -> None:
-        if self._sock is None:
-            raise ProtocolError("client is closed")
-        self._file.write(line.encode("utf-8") + b"\n")
-        self._file.flush()
+        self._send_bytes(line.encode("utf-8") + b"\n")
 
     def _send_bytes(self, data: bytes) -> None:
         if self._sock is None:
             raise ProtocolError("client is closed")
-        self._file.write(data)
-        self._file.flush()
+        self._sock.sendall(data)
+
+    def _receive(self, closed: str) -> None:
+        """Append whatever the socket has to the input buffer."""
+        chunk = self._sock.recv(65536)
+        if not chunk:
+            raise ProtocolError(closed)
+        self._inbuf += chunk
 
     def _read_text_response(self) -> Response:
-        lines: list[str] = []
-        while True:
-            raw = self._file.readline()
-            if not raw:
-                raise ProtocolError(
-                    "connection closed mid-response" if lines
-                    else "connection closed by server")
-            line = raw.decode("utf-8").rstrip("\n")
-            lines.append(line)
-            if line == protocol.END:
-                break
-        return protocol.parse_response(lines)
+        """Read up to the ``END`` frame, then decode and split once."""
+        buf = self._inbuf
+        searched = 0
+        while (end := buf.find(_TEXT_END, searched)) < 0:
+            searched = max(len(buf) - len(_TEXT_END) + 1, 0)
+            self._receive("connection closed mid-response" if buf
+                          else "connection closed by server")
+        end += len(_TEXT_END)
+        raw = bytes(buf[:end])
+        del buf[:end]
+        # Only "\n" separates frames (str.splitlines() would also split
+        # on \x0b, \x85, \u2028 ... which cells carry unescaped).
+        return protocol.parse_response(
+            raw[:-1].decode("utf-8").split("\n"),
+            payload=raw[raw.index(b"\n") + 1:])
 
     def _read_exactly(self, n: int) -> bytes:
-        chunks: list[bytes] = []
-        remaining = n
-        while remaining:
-            chunk = self._file.read(remaining)
-            if not chunk:
-                raise ProtocolError("connection closed mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks) if len(chunks) != 1 else chunks[0]
+        buf = self._inbuf
+        while len(buf) < n:
+            self._receive("connection closed mid-frame")
+        data = bytes(buf[:n])
+        del buf[:n]
+        return data
 
     def _read_binary_response(self) -> Response:
         prefix = self._read_exactly(4)

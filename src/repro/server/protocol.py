@@ -42,7 +42,7 @@ what makes "byte-identical to ``executor.execute``" checkable at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.psql.result import QueryResult
 
@@ -87,6 +87,8 @@ def unescape(text: str) -> str:
     Raises:
         ProtocolError: on a malformed escape sequence.
     """
+    if "\\" not in text:
+        return text
     out: list[str] = []
     i = 0
     n = len(text)
@@ -125,6 +127,13 @@ def format_value(value: Any) -> str:
     return repr(value)
 
 
+def _plain(text: str, newlines: int, tabs: int) -> bool:
+    """True when *text* holds nothing :func:`escape` would rewrite beyond
+    the *newlines* and *tabs* its caller joined it with."""
+    return ("\\" not in text and "\r" not in text
+            and text.count("\n") == newlines and text.count("\t") == tabs)
+
+
 def encode_result(result: QueryResult) -> list[str]:
     """Render a query result as payload lines (``COLS``/``ROW``*/``END``).
 
@@ -132,11 +141,28 @@ def encode_result(result: QueryResult) -> list[str]:
     verbatim (and caches them verbatim), so comparing a client's payload
     against ``encode_result(session.execute(text))`` is a byte-level
     equivalence check.
+
+    Cells are formatted a column at a time and each row is joined once,
+    unescaped.  Counting separators over the whole body then proves in
+    four scans that no cell needed :func:`escape` (the usual case); when
+    the proof fails, only the rows that break it are rendered cell by
+    cell.
     """
     lines = [COLS + " " + "\t".join(escape(c) for c in result.columns)]
-    for row in result.rows:
-        lines.append(
-            ROW + " " + "\t".join(escape(format_value(v)) for v in row))
+    rows = result.rows
+    if rows:
+        # format_value, inlined: this is the per-cell loop.
+        cells = [[v if isinstance(v, str) else repr(v) for v in column]
+                 for column in zip(*rows, strict=True)]
+        tabs = max(len(cells) - 1, 0)
+        # (zero-width rows leave zip() nothing to transpose)
+        texts = (list(map("\t".join, zip(*cells))) if cells
+                 else [""] * len(rows))
+        if not _plain("\n".join(texts), len(texts) - 1, len(texts) * tabs):
+            texts = [text if _plain(text, 0, tabs)
+                     else "\t".join(map(escape, row))
+                     for text, row in zip(texts, zip(*cells))]
+        lines += [ROW + " " + text for text in texts]
     lines.append(END)
     return lines
 
@@ -145,7 +171,51 @@ def split_fields(payload: str) -> list[str]:
     """Unescaped fields of one ``COLS``/``ROW`` frame body."""
     if payload == "":
         return []
-    return [unescape(f) for f in payload.split("\t")]
+    fields = payload.split("\t")
+    if "\\" in payload:
+        fields = [unescape(f) for f in fields]
+    return fields
+
+
+def decode_result(lines: Sequence[str],
+                  ) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+    """Invert :func:`encode_result`: ``(columns, rows)`` of payload lines.
+
+    A bare ``END`` (an acknowledgement's body) decodes to no columns and
+    no rows.  ``ROW`` frames are split by the arity ``COLS`` announced,
+    so a one-column row holding the empty string comes back as ``('',)``
+    exactly as the binary codec returns it.
+
+    Raises:
+        ProtocolError: on a missing ``END``, a foreign frame, a frame
+            out of order, a malformed escape or a row of the wrong
+            arity.
+    """
+    if not lines or lines[-1] != END:
+        raise ProtocolError("OK response not END-terminated")
+    if len(lines) == 1:
+        return (), []
+    tag, _, payload = lines[0].partition(" ")
+    if tag != COLS:
+        raise ProtocolError(
+            f"expected a COLS frame, found {lines[0]!r} in OK body")
+    columns = tuple(split_fields(payload))
+    arity = len(columns)
+    rows: list[tuple[str, ...]] = []
+    for line in lines[1:-1]:
+        tag, _, payload = line.partition(" ")
+        if tag != ROW:
+            raise ProtocolError(f"unexpected frame {line!r} in OK body")
+        # "".split() is one empty field: right for every arity but 0.
+        fields = payload.split("\t") if payload or arity else []
+        if len(fields) != arity:
+            raise ProtocolError(
+                f"ROW frame {line!r} has {len(fields)} field(s), "
+                f"COLS announced {arity}")
+        if "\\" in payload:
+            fields = [unescape(f) for f in fields]
+        rows.append(tuple(fields))
+    return columns, rows
 
 
 @dataclass
@@ -201,8 +271,13 @@ class ProtocolError(Exception):
     """The byte stream violated the framing rules."""
 
 
-def parse_response(lines: list[str]) -> Response:
+def parse_response(lines: list[str],
+                   payload: Optional[bytes] = None) -> Response:
     """Parse the frames of one response (without trailing newlines).
+
+    *payload* is the bytes the frames after the header arrived as, for
+    a caller that still holds them; :attr:`Response.payload` is encoded
+    from *lines* otherwise.
 
     Raises:
         ProtocolError: on malformed frames.
@@ -214,7 +289,7 @@ def parse_response(lines: list[str]) -> Response:
     if tag == OK and rest.startswith("stats"):
         return _parse_stats(lines)
     if tag == OK:
-        return _parse_ok(rest, lines)
+        return _parse_ok(rest, lines, payload)
     if tag == ERR:
         kind, _, message = rest.partition(" ")
         return Response(status="error", error_kind=kind or "Error",
@@ -230,7 +305,8 @@ def parse_response(lines: list[str]) -> Response:
     raise ProtocolError(f"unknown response frame {head!r}")
 
 
-def _parse_ok(rest: str, lines: list[str]) -> Response:
+def _parse_ok(rest: str, lines: list[str],
+              payload: Optional[bytes]) -> Response:
     parts = rest.split()
     if len(parts) != 3:
         raise ProtocolError(f"malformed OK header {rest!r}")
@@ -250,17 +326,9 @@ def _parse_ok(rest: str, lines: list[str]) -> Response:
     response = Response(status="ok", cached=(disposition == "cached"),
                         generation=int(gen_text), nrows=nrows)
     body = lines[1:]
-    if not body or body[-1] != END:
-        raise ProtocolError("OK response not END-terminated")
-    response.payload = ("\n".join(body) + "\n").encode("utf-8")
-    for line in body[:-1]:
-        tag, _, payload = line.partition(" ")
-        if tag == COLS:
-            response.columns = tuple(split_fields(payload))
-        elif tag == ROW:
-            response.rows.append(tuple(split_fields(payload)))
-        else:
-            raise ProtocolError(f"unexpected frame {line!r} in OK body")
+    response.columns, response.rows = decode_result(body)
+    response.payload = (payload if payload is not None
+                        else ("\n".join(body) + "\n").encode("utf-8"))
     return response
 
 

@@ -31,12 +31,13 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from repro.psql.errors import PsqlError
 from repro.psql.executor import Session
 from repro.psql.normalize import normalize_query
 from repro.psql.prepare import PreparedStatement
+from repro.psql.result import QueryResult
 from repro.relational.catalog import Database
 from repro.server import binproto, protocol
 from repro.server.cache import QueryCache
@@ -433,7 +434,7 @@ class PsqlServer:
                     else normalized)
         await self._run_query_job(
             conn, normalized,
-            lambda: self.service.submit(conn.session, text),
+            lambda: self.service.submit(conn.session, text, conn.binary),
             log_text=log_text)
 
     async def _run_query_job(self, conn: _Connection, cache_key,
@@ -459,9 +460,9 @@ class PsqlServer:
                 # never reach a session, so the workload log hears about
                 # them here (call count only — nothing executed).
                 log.record_cached(log_text, cached.nrows)
-            await self._reply_result(conn, "cached", generation,
-                                     cached.nrows, cached.payload,
-                                     cached.bbody)
+            await self._reply_result(
+                conn, "cached", generation, cached.nrows,
+                cached.binary() if conn.binary else cached.text())
             return
 
         if self._draining:
@@ -522,8 +523,9 @@ class PsqlServer:
         self.registry.bump("server.rows_returned", outcome.nrows)
         self.cache.put(cache_key, generation, outcome.payload,
                        outcome.nrows, outcome.bbody)
-        await self._reply_result(conn, "fresh", generation, outcome.nrows,
-                                 outcome.payload, outcome.bbody)
+        await self._reply_result(
+            conn, "fresh", generation, outcome.nrows,
+            outcome.bbody if conn.binary else outcome.payload)
 
     def _release_slot(self) -> None:
         self._inflight -= 1
@@ -606,7 +608,7 @@ class PsqlServer:
             conn, cache_key,
             lambda: self.service.submit_prepared(
                 conn.session, statement_id, params,
-                stmt.substitute(params)))
+                stmt.substitute(params), conn.binary))
 
     # -- the REPACK path -----------------------------------------------------
 
@@ -771,14 +773,9 @@ class PsqlServer:
     async def _write_report(self, conn: _Connection, column: str,
                             lines: list[str]) -> None:
         """Frame report *lines* as a fresh one-column result."""
-        from repro.psql.result import QueryResult
-
-        result = QueryResult(columns=(column,))
-        result.rows = [(line,) for line in lines]
-        await self._reply_result(
-            conn, "fresh", self.generation, len(lines),
-            tuple(protocol.encode_result(result)),
-            binproto.encode_result_body(result))
+        await self._reply_fresh(
+            conn, QueryResult(columns=(column,),
+                              rows=[(line,) for line in lines]))
 
     # -- frame writing (mode-aware) ------------------------------------------
 
@@ -799,14 +796,25 @@ class PsqlServer:
         finally:
             self._active_responses -= 1
 
+    async def _reply_fresh(self, conn: _Connection,
+                           result: QueryResult) -> None:
+        """Answer with a result built on the event loop (a report, a
+        cluster verb), rendered in *conn*'s encoding only."""
+        await self._reply_result(
+            conn, "fresh", self.generation, len(result.rows),
+            binproto.encode_result_body(result) if conn.binary
+            else protocol.encode_result(result))
+
     async def _reply_result(self, conn: _Connection, disposition: str,
                             generation: int, nrows: int,
-                            payload: tuple[str, ...],
-                            bbody: bytes) -> None:
-        """One OK-with-result response in whichever framing *conn* uses.
+                            rendered: Union[bytes, Sequence[str]],
+                            ) -> None:
+        """One OK-with-result response in the framing *conn* uses;
+        *rendered* is the result body in that framing (binary body
+        bytes, or text payload lines).
 
-        The binary path writes prefix, header and cached body as three
-        buffer appends — the body bytes are never copied or re-encoded.
+        The binary path writes prefix, header and body as three buffer
+        appends — the body bytes are never copied or re-encoded.
         """
         if conn.binary:
             header = binproto.ok_header(disposition, generation, nrows)
@@ -814,15 +822,15 @@ class PsqlServer:
             try:
                 writer = conn.writer
                 writer.write(binproto.frame_prefix(len(header)
-                                                   + len(bbody)))
+                                                   + len(rendered)))
                 writer.write(header)
-                writer.write(bbody)
+                writer.write(rendered)
                 await writer.drain()
             finally:
                 self._active_responses -= 1
             return
         header = f"{protocol.OK} {disposition} {generation} {nrows}"
-        await self._write_lines(conn, [header, *payload])
+        await self._write_lines(conn, [header, *rendered])
 
     async def _reply_ack(self, conn: _Connection, disposition: str,
                          generation: int, count: int) -> None:

@@ -16,10 +16,11 @@ bytes.  Two pool flavours:
   scaling for a read-only/static serving shape (the paper's packed
   database); parent-side mutations are *not* propagated to workers.
 
-Either way a worker returns a plain :class:`QueryOutcome` — encoded
-payload lines plus an isolated observability snapshot — which is cheap
-to ship across a process boundary and trivial for the event loop to
-merge into server-wide metrics.
+Either way a worker returns a plain :class:`QueryOutcome` — the result
+rendered in the one encoding its connection negotiated, plus an isolated
+observability snapshot — which is cheap to ship across a process
+boundary and trivial for the event loop to merge into server-wide
+metrics.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ STORAGE_ERRORS = (PagerError, WalError, HeapFileError, InjectedFault,
 class QueryOutcome:
     """What one worker produced for one query (always picklable)."""
 
-    payload: tuple[str, ...] = ()      #: COLS/ROW*/END lines
+    #: COLS/ROW*/END lines, when the connection speaks text
+    payload: tuple[str, ...] = ()
     nrows: int = 0
     error_kind: str = ""               #: exception class name, "" on success
     error_message: str = ""
@@ -61,8 +63,7 @@ class QueryOutcome:
     cancelled: bool = False            #: abandoned before execution began
     io_fault: bool = False             #: failure came from the storage stack
     #: binary-protocol result body (:func:`repro.server.binproto
-    #: .encode_result_body`), produced alongside the text lines so the
-    #: event loop and the result cache never re-encode
+    #: .encode_result_body`), when the connection speaks binary
     bbody: bytes = b""
 
     @property
@@ -70,23 +71,28 @@ class QueryOutcome:
         return not self.error_kind and not self.cancelled
 
 
-def _outcome_from(execute: Callable[[], "QueryResult"]) -> QueryOutcome:
+def _outcome_from(execute: Callable[[], "QueryResult"],
+                  binary: bool) -> QueryOutcome:
     """Run one query callable under an isolated obs scope; never raises.
 
     ``forward=False`` keeps the scoped registry off the global chain:
     worker threads record into thread-local scopes and the single
     event-loop thread merges the returned snapshots, so concurrent
-    queries cannot interleave counters.  Both protocol renderings are
-    produced here, once, while the result object is still alive.
+    queries cannot interleave counters.  The result is rendered here,
+    while the result object is still alive, in the requesting
+    connection's encoding only (*binary*); the result cache derives the
+    other if a connection of the other codec ever asks.
     """
     try:
         with obs.scope(forward=False) as registry:
             result = execute()
-            payload = tuple(protocol.encode_result(result))
-            bbody = binproto.encode_result_body(result)
-        return QueryOutcome(payload=payload, nrows=len(result.rows),
-                            counters=dict(registry.snapshot()),
-                            bbody=bbody)
+            outcome = QueryOutcome(nrows=len(result.rows))
+            if binary:
+                outcome.bbody = binproto.encode_result_body(result)
+            else:
+                outcome.payload = tuple(protocol.encode_result(result))
+        outcome.counters = dict(registry.snapshot())
+        return outcome
     except PsqlError as exc:
         return QueryOutcome(error_kind=type(exc).__name__,
                             error_message=str(exc))
@@ -101,9 +107,10 @@ def _outcome_from(execute: Callable[[], "QueryResult"]) -> QueryOutcome:
                             error_message=str(exc))
 
 
-def _execute_to_outcome(session: Session, text: str) -> QueryOutcome:
+def _execute_to_outcome(session: Session, text: str,
+                        binary: bool) -> QueryOutcome:
     """Run one query text; see :func:`_outcome_from`."""
-    return _outcome_from(lambda: session.execute(text))
+    return _outcome_from(lambda: session.execute(text), binary)
 
 
 # -- process-pool worker side -------------------------------------------------
@@ -121,9 +128,9 @@ def _init_process_worker(factory_spec: str) -> None:
     obs.enable()
 
 
-def _run_in_process_worker(text: str) -> QueryOutcome:
+def _run_in_process_worker(text: str, binary: bool) -> QueryOutcome:
     assert _worker_session is not None, "worker initializer did not run"
-    return _execute_to_outcome(_worker_session, text)
+    return _execute_to_outcome(_worker_session, text, binary)
 
 
 # -- the service --------------------------------------------------------------
@@ -216,10 +223,11 @@ class QueryService:
             session.query_log = self.query_log
         return session
 
-    def submit(self, session: Session, text: str):
+    def submit(self, session: Session, text: str, binary: bool):
         """Submit one query; returns the ``concurrent.futures.Future``.
 
-        The future resolves to a :class:`QueryOutcome`.  A
+        The future resolves to a :class:`QueryOutcome` rendered for a
+        *binary* or a text connection.  A
         ``cancel_event`` set before the worker picks the task up makes
         it return a cancelled outcome without executing — the timeout
         path uses this so an abandoned-but-unstarted query does not
@@ -229,20 +237,21 @@ class QueryService:
             self.start()
         assert self._pool is not None
         if self.executor_kind == "process":
-            return self._pool.submit(_run_in_process_worker, text)
+            return self._pool.submit(_run_in_process_worker, text, binary)
         cancel_event = threading.Event()
 
         def run() -> QueryOutcome:
             if cancel_event.is_set():
                 return QueryOutcome(cancelled=True)
-            return _execute_to_outcome(session, text)
+            return _execute_to_outcome(session, text, binary)
 
         future = self._pool.submit(run)
         future.cancel_event = cancel_event  # type: ignore[attr-defined]
         return future
 
     def submit_prepared(self, session: Session, statement_id: int,
-                        params: tuple[str, ...], substituted: str):
+                        params: tuple[str, ...], substituted: str,
+                        binary: bool):
         """Submit one prepared-statement execution; returns the future.
 
         Thread mode runs :meth:`Session.execute_prepared` — the bound
@@ -255,14 +264,16 @@ class QueryService:
             self.start()
         assert self._pool is not None
         if self.executor_kind == "process":
-            return self._pool.submit(_run_in_process_worker, substituted)
+            return self._pool.submit(_run_in_process_worker, substituted,
+                                     binary)
         cancel_event = threading.Event()
 
         def run() -> QueryOutcome:
             if cancel_event.is_set():
                 return QueryOutcome(cancelled=True)
             return _outcome_from(
-                lambda: session.execute_prepared(statement_id, params))
+                lambda: session.execute_prepared(statement_id, params),
+                binary)
 
         future = self._pool.submit(run)
         future.cancel_event = cancel_event  # type: ignore[attr-defined]
@@ -288,10 +299,6 @@ class QueryService:
                 "rebuild in the parent would not update")
         return self.db.rebuild_index(picture, relation, column=column,
                                      method=method, workers=workers)
-
-    def execute_direct(self, text: str) -> QueryOutcome:
-        """Run one query synchronously on the calling thread."""
-        return _execute_to_outcome(self.make_session(), text)
 
     def close(self, wait: bool = True) -> None:
         """Shut the pool down (idempotent)."""

@@ -217,3 +217,68 @@ class TestErrors:
     def test_one_shot_execute_helper(self, map_database):
         r = execute(map_database, "select city from cities")
         assert len(r) > 0
+
+
+class TestNamesResolveWhetherOrNotRowsQualify:
+    """Regression: a bad name used to be reported only once some row
+    reached the select list or the where clause, so the same text was
+    ``OK`` on an empty window and an error on a wider one."""
+
+    #: a window no city lies in
+    EMPTY = "on us-map at loc covered-by {0 ± 0.0001, 0 ± 0.0001}"
+
+    def test_the_window_really_is_empty(self, session):
+        assert len(session.execute(
+            f"select city from cities {self.EMPTY}")) == 0
+
+    @pytest.mark.parametrize("query, message", [
+        ("select nosuch from cities {empty}", "unknown column 'nosuch'"),
+        ("select cities.nosuch from cities {empty}",
+         "'cities' has no column 'nosuch'"),
+        ("select states.state from cities {empty}",
+         "'states' is not in the from-clause"),
+        ("select city from cities {empty} where nosuch > 3",
+         "unknown column 'nosuch'"),
+        ("select city from cities {empty} where area(nosuch) > 3",
+         "unknown column 'nosuch'"),
+        ("select nosuch(loc) from cities {empty}",
+         "unknown function 'nosuch'"),
+        # aggregate forms: the argument and the group key
+        ("select count(nosuch) from cities {empty}",
+         "unknown column 'nosuch'"),
+        ("select nosuch, count(city) from cities {empty}",
+         "unknown column 'nosuch'"),
+    ])
+    def test_single_relation(self, session, query, message):
+        with pytest.raises(PsqlSemanticError, match=message):
+            session.execute(query.format(empty=self.EMPTY))
+
+    @pytest.mark.parametrize("select, where, message", [
+        ("nosuch", "", "unknown column 'nosuch'"),
+        ("loc", "", "ambiguous between cities and time-zones"),
+        ("city", "where loc = loc", "ambiguous"),
+        ("city", "where zone = nosuch", "unknown column 'nosuch'"),
+        ("count(loc)", "", "ambiguous"),
+    ])
+    def test_two_relations(self, session, map_database, select, where,
+                           message):
+        # No city is inside a zone once the zones are gone.
+        zones = map_database.relation("time-zones")
+        for rid, _row in list(zones.rows()):
+            map_database.delete("time-zones", rid)
+
+        def juxtaposition(select, where=""):
+            return (f"select {select} from cities, time-zones "
+                    f"on us-map, time-zone-map "
+                    f"at cities.loc covered-by time-zones.loc {where}")
+
+        assert len(session.execute(juxtaposition("city"))) == 0
+        with pytest.raises(PsqlSemanticError, match=message):
+            session.execute(juxtaposition(select, where))
+
+    def test_explain_still_plans_without_resolving(self, session):
+        # EXPLAIN (without ANALYZE) never executes, so it keeps planning
+        # texts whose select list would not resolve.
+        plan = session.execute(f"explain select nosuch from cities "
+                               f"{self.EMPTY}")
+        assert plan.columns == ("plan",)

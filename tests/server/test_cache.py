@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.geometry import Point
+from repro.psql.result import QueryResult
+from repro.server import binproto, protocol
 from repro.server.cache import QueryCache
 
 
@@ -68,6 +71,50 @@ class TestQueryCache:
         assert stats["server.cache.misses"] == 1.0
         assert stats["server.cache.hit_rate"] == pytest.approx(0.5)
         assert stats["server.cache.size"] == 1.0
+
+
+class TestOneRenderingDerivesTheOther:
+    """An entry is stored with the rendering its producer spoke; the
+    other codec's is derived on demand, identical to a direct render."""
+
+    RESULTS = [
+        QueryResult(("city", "loc", "population"),
+                    [("Boston", Point(1.5, 2.0), 650_000),
+                     ("tab\there", Point(0, 0), 0),
+                     ("back\\slash\nnewline\r", Point(-1, 1e300), -3)]),
+        QueryResult(("name",), [("",), ("x",), ("",)]),
+        QueryResult(("a", "b"), [("", ""), ("\x0b\x0c\x1c", "\x85\u2028")]),
+        QueryResult(("empty",)),
+    ]
+
+    @pytest.mark.parametrize("result", RESULTS)
+    def test_binary_from_text(self, result):
+        cache = QueryCache(capacity=4)
+        cache.put("q", 0, tuple(protocol.encode_result(result)),
+                  len(result.rows))
+        entry = cache.get("q", 0)
+        assert entry.bbody == b""
+        assert entry.binary() == binproto.encode_result_body(result)
+        assert entry.bbody == entry.binary()          # kept
+        assert entry.text() == tuple(protocol.encode_result(result))
+
+    @pytest.mark.parametrize("result", RESULTS)
+    def test_text_from_binary(self, result):
+        cache = QueryCache(capacity=4)
+        cache.put("q", 0, (), len(result.rows),
+                  binproto.encode_result_body(result))
+        entry = cache.get("q", 0)
+        assert entry.payload == ()
+        assert entry.text() == tuple(protocol.encode_result(result))
+        assert entry.payload == entry.text()          # kept
+        assert entry.binary() == binproto.encode_result_body(result)
+
+    def test_deriving_is_not_a_lookup(self):
+        cache = QueryCache(capacity=4)
+        cache.put("q", 0, PAYLOAD, 1)
+        entry = cache.get("q", 0)
+        entry.binary()
+        assert (cache.hits, cache.misses) == (1, 0)
 
 
 class TestConcurrentStats:

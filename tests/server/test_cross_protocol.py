@@ -91,6 +91,20 @@ class TestEquivalence:
             tr, br = tc.query(ESCAPE_QUERY), bc.query(ESCAPE_QUERY)
         assert tr.rows == br.rows == TRICKY
 
+    def test_one_column_empty_cell_over_the_socket(self, served):
+        # Regression: the text client decoded a lone empty cell ("ROW ")
+        # to (), the binary client to ('',).
+        host, port, direct = served
+        query = "select label from pois"
+        expected = [(label,) for label, _note in TRICKY]
+        assert ("",) in expected
+        assert direct.execute(query).rows == expected
+        with Client(host, port) as tc, \
+                Client(host, port, binary=True) as bc:
+            for _fresh_then_cached in range(2):
+                assert tc.query(query).rows == expected
+                assert bc.query(query).rows == expected
+
     def test_stats_agree(self, served):
         host, port, _ = served
         with Client(host, port) as tc, \

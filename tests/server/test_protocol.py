@@ -6,8 +6,34 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
 from repro.psql.result import QueryResult
-from repro.server import protocol
+from repro.server import binproto, protocol
 from repro.server.protocol import ProtocolError
+
+#: Everything :func:`protocol.escape` rewrites, the empty string's
+#: neighbours, and the characters ``str.splitlines()`` would split on
+#: but ``escape`` leaves alone: only "\n" is ever a frame separator.
+CELL_ALPHABET = "ab \\\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029±"
+cells = st.one_of(
+    st.text(alphabet=st.sampled_from(CELL_ALPHABET), max_size=6),
+    st.integers(-5, 5), st.floats(allow_nan=False, width=16),
+    st.builds(Point, st.integers(0, 9), st.integers(0, 9)))
+
+
+@st.composite
+def results(draw):
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[cells] * width), max_size=8))
+    return QueryResult(tuple(f"c{i}" for i in range(width)), rows)
+
+
+def reference_lines(result):
+    """The per-cell rendering :func:`protocol.encode_result` replaced."""
+    lines = ["COLS " + "\t".join(protocol.escape(c)
+                                 for c in result.columns)]
+    for row in result.rows:
+        lines.append("ROW " + "\t".join(
+            protocol.escape(protocol.format_value(v)) for v in row))
+    return lines + ["END"]
 
 
 class TestEscaping:
@@ -73,6 +99,40 @@ class TestEncodeResult:
     def test_empty_result(self):
         lines = protocol.encode_result(QueryResult(columns=("a",)))
         assert lines == ["COLS a", "END"]
+
+    @given(results())
+    def test_bulk_rendering_equals_per_cell_reference(self, result):
+        lines = protocol.encode_result(result)
+        assert lines == reference_lines(result)
+        # One frame per line: nothing but "\n" may separate frames once
+        # the lines are joined for the socket.
+        assert "\n".join(lines).split("\n") == lines
+
+    @given(results())
+    def test_decodes_to_the_original_cells(self, result):
+        lines = protocol.encode_result(result)
+        cells = [tuple(protocol.format_value(v) for v in row)
+                 for row in result.rows]
+        assert protocol.decode_result(lines) == (result.columns, cells)
+        r = protocol.parse_response(
+            [f"OK fresh 0 {len(cells)}", *lines])
+        assert (r.columns, r.rows) == (result.columns, cells)
+        assert r.payload == ("\n".join(lines) + "\n").encode()
+        # ...which is what the binary codec decodes to as well.
+        assert binproto.decode_result_body(
+            binproto.encode_result_body(result)) == (result.columns, cells)
+
+    def test_only_rows_that_need_it_are_escaped(self):
+        result = QueryResult(("a", "b"), [("plain", 1), ("tab\t", 2),
+                                          ("", ""), ("x", "\\")])
+        assert protocol.encode_result(result) == [
+            "COLS a\tb", "ROW plain\t1", "ROW tab\\t\t2", "ROW \t",
+            "ROW x\t\\\\", "END"]
+
+    def test_ragged_rows_are_refused(self):
+        with pytest.raises(ValueError):
+            protocol.encode_result(
+                QueryResult(("a", "b"), [("x", "y"), ("z",)]))
 
     def test_format_value(self):
         assert protocol.format_value("s") == "s"
@@ -150,6 +210,35 @@ class TestParseResponse:
     def test_malformed_raises(self, lines):
         with pytest.raises(ProtocolError):
             protocol.parse_response(lines)
+
+    def test_one_column_empty_cell_keeps_its_arity(self):
+        # Regression: "ROW " used to decode to () while the binary codec
+        # returned ('',) for the same result.
+        r = protocol.parse_response(
+            ["OK fresh 0 1", "COLS name", "ROW ", "END"])
+        assert r.rows == [("",)]
+        result = QueryResult(("name",), [("",)])
+        assert protocol.encode_result(result) == \
+            ["COLS name", "ROW ", "END"]
+        assert binproto.decode_result_body(
+            binproto.encode_result_body(result))[1] == r.rows
+
+    @pytest.mark.parametrize("body", [
+        ["COLS a\tb", "ROW x"],               # too few fields
+        ["COLS a", "ROW x\ty"],               # too many
+        ["COLS a\tb", "ROW "],                # one empty field, not two
+        ["ROW x"],                            # no arity announced yet
+        ["COLS a", "ROW x", "COLS a"],        # COLS is the first frame only
+    ])
+    def test_arity_mismatch_raises(self, body):
+        with pytest.raises(ProtocolError):
+            protocol.parse_response(["OK fresh 0 1", *body, "END"])
+
+    def test_payload_bytes_are_taken_as_given(self):
+        lines = ["OK fresh 0 1", "COLS a", "ROW x", "END"]
+        wire = b"COLS a\nROW x\nEND\n"
+        assert protocol.parse_response(lines).payload == wire
+        assert protocol.parse_response(lines, payload=wire).payload is wire
 
     def test_ok_passes_raise_for_status(self):
         r = protocol.parse_response(["OK fresh 0 0", "COLS a", "END"])

@@ -15,7 +15,7 @@ import pytest
 
 from repro.geometry import Point
 from repro.psql.executor import Session
-from repro.server import protocol
+from repro.server import binproto, protocol
 from repro.server.client import Client
 from repro.server.server import PsqlServer, ServerConfig
 
@@ -194,6 +194,24 @@ class TestErrorFraming:
                              "where population > 1_000_000")
             assert r.ok
 
+    def test_unresolvable_name_on_an_empty_window_is_an_error(self,
+                                                             server):
+        # Regression: with no qualifying row the bad name used to go
+        # unnoticed and the server answered (and cached) OK with 0 rows.
+        host, port = _addr(server)
+        q = ("select nosuch from cities on us-map "
+             "at loc covered-by {0+-0.0001, 0+-0.0001}")
+        with Client(host, port) as text, \
+                Client(host, port, binary=True) as binary:
+            for client in (text, binary, text):
+                r = client.query(q)
+                assert r.status == "error"
+                assert r.error_kind == "PsqlSemanticError"
+                assert "nosuch" in r.error_message
+                assert client.ping()
+        assert len(server.cache) == 0
+        assert server.cache.hits == 0
+
     def test_unknown_command_is_an_error_frame(self, server):
         host, port = _addr(server)
         with Client(host, port) as client:
@@ -216,6 +234,45 @@ class TestCache:
             assert r2.payload == r1.payload
             after = client.stats()["server.cache.hits"]
             assert after >= before + 1
+
+    @pytest.mark.parametrize("fill_binary", [False, True],
+                             ids=["text-then-binary", "binary-then-text"])
+    @pytest.mark.parametrize("q", MIXED_QUERIES)
+    def test_cross_codec_hit_derives_the_other_rendering(
+            self, server, map_database, q, fill_binary):
+        """A worker renders only its connection's encoding; the first
+        hit from the other codec derives the missing one from the cached
+        one, byte-identical to a direct render, without a miss or an
+        execution."""
+        host, port = _addr(server)
+        result = Session(map_database).execute(q)
+        expected = {
+            False: ("\n".join(protocol.encode_result(result))
+                    + "\n").encode(),
+            True: binproto.encode_result_body(result)}
+        with Client(host, port, binary=fill_binary) as first, \
+                Client(host, port, binary=not fill_binary) as second:
+            r1 = first.query(q)
+            assert r1.ok and not r1.cached
+            assert r1.payload == expected[fill_binary]
+            (entry,) = server.cache._entries.values()
+            assert bool(entry.bbody) == fill_binary
+            assert bool(entry.payload) != fill_binary
+            before = second.stats()
+            r2 = second.query(q)
+            r3 = second.query(q)      # the derived rendering is kept
+            r4 = first.query(q)       # and the original still serves
+            after = second.stats()
+        for r in (r2, r3):
+            assert r.ok and r.cached
+            assert r.payload == expected[not fill_binary]
+        assert r4.cached and r4.payload == expected[fill_binary]
+        assert r2.rows == r4.rows == r1.rows
+        assert entry.payload and entry.bbody
+        assert after["server.cache.hits"] == before["server.cache.hits"] + 3
+        for idle in ("server.cache.misses", "server.queries.executed",
+                     "psql.plan.built"):
+            assert after.get(idle, 0) == before.get(idle, 0), idle
 
     def test_whitespace_variant_hits_same_entry(self, server):
         host, port = _addr(server)
