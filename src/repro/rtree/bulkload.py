@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import os
 import random
@@ -57,10 +58,12 @@ from repro import obs
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.rtree.hilbert import hilbert_key
+from repro.rtree.packing import _emit_level, _level_sizes
 from repro.storage import failpoints
 from repro.storage.buffer import BufferPool
+from repro.storage.disk_rtree import (_COMMIT_EVERY, DiskRTree,
+                                      _checked_oid, _NodeWriter)
 from repro.storage.pager import PAGE_SIZE, Pager
-from repro.storage.serial import NodeRecord, serialize_node
 
 __all__ = [
     "SORT_KEYS",
@@ -222,11 +225,7 @@ def _spill_runs(items: Iterable[tuple[Rect, int]], run_dir: str,
         buf.clear()
 
     for rect, oid in items:
-        oid = int(oid)
-        if oid < 0:
-            raise ValueError("object ids must be non-negative integers")
-        if not rect.is_valid():
-            raise ValueError(f"invalid rectangle {rect!r}")
+        oid = _checked_oid(rect, oid)
         buf.append((rect.x1, rect.y1, rect.x2, rect.y2, oid))
         if rng is not None:
             if count < sample_size:
@@ -464,118 +463,39 @@ def _merge_sorted_runs(paths: list[str]) -> Iterator[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _level_sizes(n: int, max_entries: int) -> list[int]:
-    """Node counts per level, leaves first, for run-packing *n* entries."""
-    sizes: list[int] = []
-    c = n
-    while c > max_entries:
-        nodes = math.ceil(c / max_entries)
-        sizes.append(nodes)
-        c = nodes
-    sizes.append(1)
-    return sizes
-
-
-class _NodeWriter:
-    """Writes node pages straight through the pager, bypassing the pool.
-
-    Pages come from one up-front :meth:`Pager.allocate_batch`, so node
-    writes land sequentially and the header is updated once.  With a WAL
-    attached, staged pages are committed every *commit_every* nodes to
-    keep the staging buffer (and therefore RSS) bounded.
-    """
-
-    def __init__(self, tree, page_iter: Iterator[int], commit_every: int):
-        self._tree = tree
-        self._pages = page_iter
-        self._commit_every = commit_every
-        self.nodes_written = 0
-
-    def write(self, group: list[tuple[float, float, float, float, int]],
-              is_leaf: bool) -> tuple[float, float, float, float, int]:
-        """Emit one packed node; returns its (MBR, page) parent entry."""
-        page_no = next(self._pages)
-        payload = serialize_node(NodeRecord(is_leaf=is_leaf,
-                                            entries=tuple(group)))
-        self._tree.pager.write_page(page_no, payload)
-        self.nodes_written += 1
-        if (self._tree.pager.wal is not None
-                and self.nodes_written % self._commit_every == 0):
-            self._tree.pager.commit()
-        x1 = min(g[0] for g in group)
-        y1 = min(g[1] for g in group)
-        x2 = max(g[2] for g in group)
-        y2 = max(g[3] for g in group)
-        return (x1, y1, x2, y2, page_no)
-
-
-def _pack_level(writer: _NodeWriter, records: Iterator[tuple],
-                max_entries: int, min_fill: int,
-                is_leaf: bool) -> Iterator[tuple]:
-    """Run-pack a level: chunk the ordered stream into full nodes.
-
-    The last completed group is held back until the stream ends: a
-    trailing remainder smaller than *min_fill* is merged with it and the
-    combined entries are re-split into two balanced groups, so every
-    emitted node holds at least ``min_fill`` entries (both halves of
-    ``max_entries < total < max_entries + min_fill`` are within
-    ``[min_fill, max_entries]`` for any ``min_fill <= max_entries/2``,
-    and the per-level node count is unchanged).  The sorted order is
-    preserved, so the redistribution costs no extra overlap.
-    """
-    pending: Optional[list[tuple]] = None
-    group: list[tuple] = []
-    for rec in records:
-        group.append(rec)
-        if len(group) == max_entries:
-            if pending is not None:
-                yield writer.write(pending, is_leaf)
-            pending = group
-            group = []
-    if group and pending is not None and len(group) < min_fill:
-        combined = pending + group
-        half = (len(combined) + 1) // 2
-        yield writer.write(combined[:half], is_leaf)
-        yield writer.write(combined[half:], is_leaf)
-        return
-    if pending is not None:
-        yield writer.write(pending, is_leaf)
-    if group:
-        yield writer.write(group, is_leaf)
+def _chunks(records: Iterator[tuple], size: int) -> Iterator[list[tuple]]:
+    """Consecutive runs of *size* records (the last one may be short)."""
+    while chunk := list(itertools.islice(records, size)):
+        yield chunk
 
 
 def _build_from_stream(tree, leaf_records: Iterator[tuple], count: int,
                        run_dir: str, commit_every: int) -> tuple[int, int]:
     """Pack the ordered leaf-item stream into *tree*; returns
-    ``(levels, nodes_written)``."""
-    max_entries = tree.max_entries
-    min_fill = min(tree.min_entries, max_entries // 2)
-    sizes = _level_sizes(count, max_entries)
-    pages = tree.pager.allocate_batch(sum(sizes))
-    page_iter = iter(pages)
-    writer = _NodeWriter(tree, page_iter, commit_every)
+    ``(levels, nodes_written)``.
 
+    Each level is run-packed through the shared level emitter and its
+    ``(MBR, page)`` parent entries spill to a level file, which becomes
+    the next level's input.
+    """
+    max_entries = tree.max_entries
+    writer = _NodeWriter.fresh(tree, sum(_level_sizes(count, max_entries)),
+                               commit_every)
     current: Iterator[tuple] = leaf_records
     current_count = count
     is_leaf = True
     level = 0
     while current_count > max_entries:
-        parents = _pack_level(writer, current, max_entries, min_fill,
-                              is_leaf)
+        parents = _emit_level(_chunks(current, max_entries), writer.write,
+                              is_leaf, writer.min_fill, level)
         level_path = os.path.join(run_dir, f"level{level + 1:03d}.ent")
         current_count = _write_records(level_path, _RAW_FMT, parents)
         current = _read_records(level_path, _RAW_FMT)
-        if obs.ENABLED:
-            obs.active().bump(f"rtree.bulkload.nodes_written.level{level}",
-                              current_count)
         is_leaf = False
         level += 1
-    root_entry = writer.write(list(current), is_leaf)
-    if obs.ENABLED:
-        obs.active().bump(f"rtree.bulkload.nodes_written.level{level}")
-    assert next(page_iter, None) is None, "level size precomputation drifted"
-
-    tree._root_page = root_entry[4]
+    (root,) = _emit_level([list(current)], writer.write, is_leaf,
+                          level=level)
+    assert root[4] == tree.root_page, "level size precomputation drifted"
     tree._size = count
     tree._write_meta()
     return level + 1, writer.nodes_written
@@ -590,7 +510,7 @@ def bulk_load_stream(tree, items: Iterable[tuple[Rect, int]], *,
                      method: str = "hilbert", run_size: int = 100_000,
                      workers: int = 0, tmp_dir: Optional[str] = None,
                      hilbert_order: int = 16,
-                     commit_every: int = 1024) -> BulkLoadStats:
+                     commit_every: int = _COMMIT_EVERY) -> BulkLoadStats:
     """Bulk-load *items* into the (empty) DiskRTree *tree*, out of core.
 
     Unlike :meth:`~repro.storage.disk_rtree.DiskRTree.bulk_load`, the
@@ -670,7 +590,6 @@ def bulk_load_stream(tree, items: Iterable[tuple[Rect, int]], *,
         reg.bump("rtree.bulkload.builds")
         reg.bump("rtree.bulkload.items", count)
         reg.bump("rtree.bulkload.runs", len(raw_paths))
-        reg.bump("rtree.bulkload.nodes_written", nodes)
         reg.trace("rtree.bulkload", method=method, items=count,
                   runs=len(raw_paths), levels=levels, workers=workers)
     return BulkLoadStats(items=count, runs=len(raw_paths), levels=levels,
@@ -694,8 +613,6 @@ def build_tree_file(path: str, items: Iterable[tuple[Rect, int]], *,
     atomic :func:`swap_tree_file` rename, not page-level logging — and
     is fsynced before this returns.
     """
-    from repro.storage.disk_rtree import DiskRTree
-
     if os.path.exists(path):
         os.remove(path)  # a stale .rebuild from an earlier crash
     tree = DiskRTree(path, max_entries=max_entries, page_size=page_size)

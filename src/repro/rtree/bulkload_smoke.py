@@ -26,6 +26,7 @@ import tempfile
 
 from repro.geometry.rect import Rect
 from repro.rtree.bulkload import bulk_load_stream
+from repro.rtree.packing import _level_sizes
 from repro.storage.disk_rtree import DiskRTree
 from repro.workloads import random_windows, stream_uniform_point_items
 
@@ -43,6 +44,29 @@ def _peak_rss_mb() -> float:
     if sys.platform == "darwin":  # pragma: no cover - reported in bytes
         return peak / (1024.0 * 1024.0)
     return peak / 1024.0
+
+
+def _structure_failures(tree: DiskRTree) -> list[str]:
+    """Theorem 3.2's ``ceil(n/M)`` level chain and the fill bound, at the
+    page-filling fanout the property suites (M 4-16) never reach."""
+    fills: list[list[int]] = []
+    for level, _page, _is_leaf, entries in tree._walk(tree.root_page):
+        if level == len(fills):
+            fills.append([])
+        fills[level].append(len(entries))
+    m = tree.max_entries
+    min_fill = min(tree.min_entries, m // 2)
+    sizes = [len(level) for level in reversed(fills)]
+    failures = []
+    if sizes != _level_sizes(len(tree), m):
+        failures.append(f"level sizes {sizes} (leaves first) break the "
+                        f"ceil(n/M) chain {_level_sizes(len(tree), m)}")
+    for depth, level in enumerate(fills):
+        low = 1 if depth == 0 else min_fill
+        if not all(low <= c <= m for c in level):
+            failures.append(f"level {depth} holds a node outside "
+                            f"[{low}, {m}]: fills {min(level)}..{max(level)}")
+    return failures
 
 
 def run_smoke(verbose: bool = True) -> int:
@@ -64,6 +88,7 @@ def run_smoke(verbose: bool = True) -> int:
             failures.append(
                 f"peak RSS {peak:.1f} MiB exceeds the {RSS_CAP_MB} MiB "
                 f"cap — the pipeline is no longer out-of-core")
+        failures.extend(_structure_failures(tree))
 
         # Spot-check correctness against brute force over a fresh stream.
         windows = random_windows(CHECK_WINDOWS, max_extent=40.0,

@@ -24,7 +24,7 @@ that supports subsequent dynamic INSERT/DELETE, as Section 3.4 requires.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro import obs
 from repro.geometry.point import Point
@@ -61,7 +61,7 @@ _DISTANCES: dict[str, DistanceFn] = {
 
 # ---------------------------------------------------------------------------
 # Grouping strategies: each maps a list of entries to a list of groups of
-# size <= M, which _build_level turns into one node per group.
+# size <= M, which _emit_level turns into one node per group.
 # ---------------------------------------------------------------------------
 
 
@@ -317,15 +317,15 @@ def pack(items: Iterable[Item], max_entries: int = 4,
         return RTree(max_entries=max_entries, min_entries=min_entries,
                      split=split)
     with obs.timer("rtree.pack.build"):
-        root = _pack_level(entries, max_entries, group_fn, distance_fn,
-                           is_leaf=True)
+        root, _height = _pack_levels(entries, max_entries, group_fn,
+                                     distance_fn, _node_sink)
     if obs.ENABLED:
         reg = obs.active()
         reg.bump("rtree.pack.builds")
         reg.bump("rtree.pack.items", len(entries))
         reg.trace("rtree.pack", method=method, items=len(entries),
                   max_entries=max_entries)
-    return RTree.from_root(root, max_entries=max_entries,
+    return RTree.from_root(root.child, max_entries=max_entries,
                            min_entries=min_entries, split=split)
 
 
@@ -345,38 +345,79 @@ def _lookup_distance(distance: str) -> DistanceFn:
                        f"choose from {sorted(_DISTANCES)}") from None
 
 
-def _pack_level(entries: list[Entry], max_entries: int, group_fn: GroupFn,
-                distance_fn: DistanceFn, is_leaf: bool,
-                level: int = 0) -> Node:
-    """One recursion of PACK: group entries into nodes, recurse on the nodes.
+#: A node sink: writes one node holding *group* and returns the entry its
+#: parent stores for it (an :class:`Entry` for :func:`_pack_levels`).
+Sink = Callable[[list, bool], Any]
 
-    Mirrors the paper's pseudo-code: the base case wraps at most M entries
-    into the root; otherwise the grouped nodes become the DLIST of the next
-    call.  *level* counts upward from the leaves (0 = leaf level) and only
-    feeds the per-level observability counters.
+
+def _emit_level(groups: Iterable[list], sink: Sink, is_leaf: bool,
+                min_fill: int = 0, level: int = 0) -> Iterator[Any]:
+    """Write one node per group through *sink*; yield the parent entries.
+
+    The trailing-node rule lives here and only here.  The last two groups
+    are held back, so it applies to a streamed level too: a final group
+    smaller than *min_fill* merges with its left neighbour and the union
+    splits ceil/floor.  For ``min_fill <= M / 2`` both halves land in
+    ``[min_fill, M]`` and the level keeps its ``ceil(n/M)`` nodes
+    (Theorem 3.2); the sorted order is kept, so no overlap is added.
+    Disk trees pass ``min(min_entries, M // 2)``; the in-memory PACK
+    passes 0 and keeps the paper's trailing node, which Table 1
+    reproduces.  *level* (0 = leaves) only labels the counters.
     """
-    if len(entries) <= max_entries:
-        root = Node(is_leaf=is_leaf)
-        for e in entries:
-            root.add(e)
-        if obs.ENABLED:
-            obs.active().bump("rtree.pack.nodes_emitted", 1)
-            obs.active().bump(f"rtree.pack.nodes_emitted.level{level}", 1)
-        return root
-    groups = group_fn(entries, max_entries, distance_fn)
+    tail: list[list] = []
+    emitted = 0  # one node per group: the tail rule keeps the count
+    for emitted, group in enumerate(groups, 1):
+        if len(tail) == 2:
+            yield sink(tail.pop(0), is_leaf)
+        tail.append(group)
+    if len(tail) == 2 and len(tail[1]) < min_fill:
+        combined = tail[0] + tail[1]
+        half = (len(combined) + 1) // 2
+        tail = [combined[:half], combined[half:]]
+    for group in tail:
+        yield sink(group, is_leaf)
     if obs.ENABLED:
         reg = obs.active()
-        reg.bump("rtree.pack.levels")
-        reg.bump("rtree.pack.nodes_emitted", len(groups))
-        reg.bump(f"rtree.pack.nodes_emitted.level{level}", len(groups))
-    next_level: list[Entry] = []
-    for group in groups:
-        node = Node(is_leaf=is_leaf)
-        for e in group:
-            node.add(e)
-        next_level.append(Entry(rect=node.mbr(), child=node))
-    return _pack_level(next_level, max_entries, group_fn, distance_fn,
-                       is_leaf=False, level=level + 1)
+        reg.bump("rtree.pack.nodes_emitted", emitted)
+        reg.bump(f"rtree.pack.nodes_emitted.level{level}", emitted)
+
+
+def _pack_levels(entries: list[Entry], max_entries: int, group_fn: GroupFn,
+                 distance_fn: DistanceFn, sink: Sink,
+                 min_fill: int = 0) -> tuple[Entry, int]:
+    """The paper's PACK loop over any sink.
+
+    Group the level into nodes of M, then pack the list of node entries
+    the same way, until at most M remain: they become the root.  Returns
+    the root's entry and the tree height (edges from root to leaves).
+    """
+    is_leaf = True
+    level = 0
+    while len(entries) > max_entries:
+        groups = group_fn(entries, max_entries, distance_fn)
+        entries = list(_emit_level(groups, sink, is_leaf, min_fill, level))
+        is_leaf = False
+        level += 1
+    (root,) = _emit_level([entries], sink, is_leaf, level=level)
+    return root, level
+
+
+def _node_sink(group: list[Entry], is_leaf: bool) -> Entry:
+    """The memory sink: one :class:`Node` per group."""
+    node = Node(is_leaf=is_leaf)
+    for e in group:
+        node.add(e)
+    return Entry(rect=node.mbr(), child=node)
+
+
+def _level_sizes(n: int, max_entries: int) -> list[int]:
+    """Node counts per level, leaves first, of a packed tree over *n*
+    entries: the ``ceil(n/M)`` chain of Theorem 3.2."""
+    sizes: list[int] = []
+    while n > max_entries:
+        n = math.ceil(n / max_entries)
+        sizes.append(n)
+    return sizes + [1]
 
 
 # -- named conveniences -------------------------------------------------------

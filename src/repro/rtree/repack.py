@@ -31,7 +31,8 @@ from repro.rtree.node import Entry, Node
 from repro.rtree.packing import (
     _lookup_distance,
     _lookup_method,
-    _pack_level,
+    _node_sink,
+    _pack_levels,
 )
 from repro.rtree.tree import RTree
 
@@ -81,8 +82,9 @@ def local_repack(tree: RTree, region: Optional[Rect] = None,
 
     fresh = [Entry(rect=e.rect, oid=e.oid) for e in entries]
     with obs.timer("rtree.repack"):
-        new_root = _pack_level(fresh, tree.max_entries, group_fn,
-                               distance_fn, is_leaf=True)
+        root_entry, _height = _pack_levels(fresh, tree.max_entries, group_fn,
+                                           distance_fn, _node_sink)
+    new_root = root_entry.child
     if target is not tree.root:
         # Splicing into a parent: the subtree must keep its height so all
         # leaves of the tree stay at one depth.  A root swap is free to
@@ -122,9 +124,9 @@ def local_repack_disk(tree, region: Optional[Rect] = None,
     """Re-PACK the smallest subtree of a disk tree covering *region*.
 
     The subtree's leaf entries are collected (freeing its old pages),
-    re-grouped with the PACK strategy, and written back onto freshly
-    allocated pages; the parent entry is redirected and ancestor MBRs
-    refreshed, so the rest of the tree is untouched.  The rebuilt
+    re-grouped with the PACK strategy, and written back onto pages taken
+    from the free list; the parent entry is redirected and ancestor
+    MBRs refreshed, so the rest of the tree is untouched.  The rebuilt
     subtree keeps the original height (single-entry pad pages when
     packing would make it shallower) so every leaf stays at one depth.
 
@@ -143,8 +145,7 @@ def local_repack_disk(tree, region: Optional[Rect] = None,
     Returns:
         A :class:`RepackResult` with before/after node counts.
     """
-    from repro.geometry.rect import mbr_of_rects
-    from repro.storage.serial import NodeRecord
+    from repro.storage.disk_rtree import _mbr, _NodeWriter
 
     group_fn = _lookup_method(method)
     distance_fn = _lookup_distance(distance)
@@ -178,47 +179,29 @@ def local_repack_disk(tree, region: Optional[Rect] = None,
                             subtree_height=old_height)
 
     target_page = path[-1]
-    nodes_before = tree.subtree_node_count(target_page)
-    old_height = _subtree_height(tree, target_page)
-    min_fill = min(tree.min_entries, tree.max_entries // 2)
     with obs.timer("rtree.repack.disk"):
-        raw = tree._collect_leaf_entries(target_page)  # frees old pages
-        level = [Entry(rect=Rect(x1, y1, x2, y2), oid=oid)
-                 for x1, y1, x2, y2, oid in raw]
-        nodes_after = 0
-        is_leaf = True
-        new_height = 0
-        while len(level) > tree.max_entries:
-            groups = group_fn(level, tree.max_entries, distance_fn)
-            _redistribute_tail(groups, min_fill)
-            nxt = []
-            for group in groups:
-                page_no = tree._materialize(group, is_leaf)
-                nxt.append(Entry(rect=mbr_of_rects(e.rect for e in group),
-                                 oid=page_no))
-            nodes_after += len(groups)
-            level = nxt
-            is_leaf = False
-            new_height += 1
-        new_root = tree._materialize(level, is_leaf)
-        new_mbr = mbr_of_rects(e.rect for e in level)
-        nodes_after += 1
+        # One walk frees the old pages and measures the old subtree; the
+        # page sink then takes the new subtree's pages off the free list
+        # and never commits: the caller's flush() commits the splice whole.
+        raw, nodes_before, old_height = tree._collect_leaf_entries(
+            target_page)
+        writer = _NodeWriter(tree)
+        root, height = _pack_levels(
+            [Entry(rect=Rect(x1, y1, x2, y2), oid=oid)
+             for x1, y1, x2, y2, oid in raw],
+            tree.max_entries, group_fn, distance_fn, writer.write_entries,
+            writer.min_fill)
         # Packing can legitimately shrink the subtree; pad with
         # single-entry pages so all the tree's leaves stay at one depth.
-        while new_height < old_height:
-            new_root = tree._materialize(
-                [Entry(rect=new_mbr, oid=new_root)], is_leaf=False)
-            nodes_after += 1
-            new_height += 1
+        for _ in range(height, old_height):
+            root = writer.write_entries([root], is_leaf=False)
+        nodes_after = writer.nodes_written
         # Redirect the parent entry, then refresh ancestor MBRs bottom-up.
-        _replace_child(tree, path[-2], target_page, new_root, new_mbr,
-                       NodeRecord)
+        _replace_child(tree, path[-2], target_page, root.oid, root.rect)
         for i in range(len(path) - 2, 0, -1):
             child_page = path[i]
-            child = tree._read_node(child_page)
-            mbr = tree._entries_mbr(child.entries)
-            _replace_child(tree, path[i - 1], child_page, child_page, mbr,
-                           NodeRecord)
+            mbr = _mbr(tree._read_node(child_page).entries)
+            _replace_child(tree, path[i - 1], child_page, child_page, mbr)
         tree._write_meta()
     if obs.ENABLED:
         reg = obs.active()
@@ -234,38 +217,13 @@ def local_repack_disk(tree, region: Optional[Rect] = None,
 
 
 def _replace_child(tree, parent_page: int, old_child: int, new_child: int,
-                   mbr: Rect, record_cls) -> None:
+                   mbr: tuple[float, float, float, float]) -> None:
     """Point *parent_page*'s entry for *old_child* at *new_child*/*mbr*."""
-    parent = tree._read_node(parent_page)
-    entries = tuple(
-        (mbr.x1, mbr.y1, mbr.x2, mbr.y2, new_child) if ptr == old_child
-        else (x1, y1, x2, y2, ptr)
-        for x1, y1, x2, y2, ptr in parent.entries)
-    tree._write_node(parent_page, record_cls(is_leaf=False, entries=entries))
+    from repro.storage.serial import NodeRecord
 
-
-def _redistribute_tail(groups: list[list[Entry]], min_fill: int) -> None:
-    """Split the last two groups evenly when the tail is under-filled.
-
-    The same invariant fix as the streaming packer's
-    ``bulkload._pack_level``: a remainder group smaller than *min_fill*
-    merges with its left neighbour and the union splits ceil/floor, so
-    both halves land in ``[min_fill, max_entries]``.
-    """
-    if len(groups) >= 2 and len(groups[-1]) < min_fill:
-        combined = groups[-2] + groups[-1]
-        half = (len(combined) + 1) // 2
-        groups[-2:] = [combined[:half], combined[half:]]
-
-
-def _subtree_height(tree, page_no: int) -> int:
-    """Edges from *page_no* down to the leaf level (disk walk)."""
-    height = 0
-    node = tree._read_node(page_no)
-    while not node.is_leaf:
-        node = tree._read_node(node.entries[0][4])
-        height += 1
-    return height
+    entries = tuple(mbr + (new_child,) if e[4] == old_child else e
+                    for e in tree._read_node(parent_page).entries)
+    tree._write_node(parent_page, NodeRecord(is_leaf=False, entries=entries))
 
 
 def _smallest_subtree_pages(tree, region: Rect) -> list[int]:

@@ -13,15 +13,22 @@ integers, exactly the tuple identifiers PSQL's ``loc`` column stores.
 
 from __future__ import annotations
 
+import heapq
+import math
 import os
 import struct
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro import obs
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect, mbr_of_rects
+from repro.geometry.rect import Rect
 from repro.rtree.node import Entry
-from repro.rtree.packing import _lookup_distance, _lookup_method
+from repro.rtree.packing import (
+    _level_sizes,
+    _lookup_distance,
+    _lookup_method,
+    _pack_levels,
+)
 from repro.rtree.split import QuadraticSplit
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import PAGE_SIZE, Pager, PagerError
@@ -36,6 +43,9 @@ from repro.storage.serial import (
 _META_FMT = "<QQII"  # root_page, size, max_entries, min_entries
 _META_SIZE = struct.calcsize(_META_FMT)
 _META_PAGE = 1
+#: A whole-tree build on a WAL-attached file commits every this many
+#: node pages, bounding the pager's staging buffer.
+_COMMIT_EVERY = 1024
 
 DiskEntry = tuple[float, float, float, float, int]
 
@@ -51,6 +61,89 @@ class TreeMetaError(PagerError):
 
 def _entry_rect(e: DiskEntry) -> Rect:
     return Rect(e[0], e[1], e[2], e[3])
+
+
+def _mbr(entries: Sequence[DiskEntry]) -> tuple[float, float, float, float]:
+    """``(x1, y1, x2, y2)`` bounding *entries*, from the raw coordinates."""
+    x1s, y1s, x2s, y2s, _ptrs = zip(*entries)
+    return min(x1s), min(y1s), max(x2s), max(y2s)
+
+
+def _checked_oid(rect: Rect, oid) -> int:
+    """*oid* as an int, once the item passes every loader's input checks.
+
+    Raises:
+        ValueError: for a negative object id or an invalid rectangle
+            (inverted or NaN, see :meth:`Rect.is_valid`).
+    """
+    oid = int(oid)
+    if oid < 0:
+        raise ValueError("object ids must be non-negative integers")
+    if not rect.is_valid():
+        raise ValueError(f"invalid rectangle {rect!r}")
+    return oid
+
+
+class _NodeWriter:
+    """The page sink of the PACK loop: nodes straight through the pager.
+
+    A whole new tree (:meth:`fresh`) takes consecutive pages from one
+    :meth:`Pager.allocate_batch` and lands its root, written last, on the
+    tree's current (empty) root page, so no page is left unreachable.  A
+    splice (``pages=None``) takes each page from :meth:`Pager.allocate`,
+    i.e. from the free list the replaced subtree was just returned to.
+    A page's pool frame is dropped before the write, so no stale frame
+    can later be flushed over it.
+
+    With a WAL attached, staged pages are committed every *commit_every*
+    node writes (0: never, which is what a splice into a live tree
+    needs: its commit is the caller's ``flush()``).  The check runs
+    before a write, so the root is always committed by that flush,
+    together with the meta page that points at it.  :meth:`fresh`
+    first writes the pool's dirty frames back, so a commit made part-way
+    through a build also holds the old meta page and root: a crash
+    before the flush reopens as the tree it was before the load.
+    """
+
+    def __init__(self, tree: "DiskRTree",
+                 pages: Optional[Iterator[int]] = None,
+                 commit_every: int = 0):
+        self._tree = tree
+        self._pages = pages
+        self._commit_every = (commit_every if tree.pager.wal is not None
+                              else 0)
+        #: The disk trees' trailing-node fill (see ``_emit_level``).
+        self.min_fill = min(tree.min_entries, tree.max_entries // 2)
+        self.nodes_written = 0
+
+    @classmethod
+    def fresh(cls, tree: "DiskRTree", nodes: int,
+              commit_every: int = _COMMIT_EVERY) -> "_NodeWriter":
+        """A sink for a whole tree of *nodes* nodes, root written last."""
+        tree.pool.flush()
+        pages = tree.pager.allocate_batch(nodes - 1)
+        pages.append(tree.root_page)
+        return cls(tree, iter(pages), commit_every)
+
+    def write(self, group: Sequence[DiskEntry], is_leaf: bool) -> DiskEntry:
+        """Emit one packed node; returns its ``(MBR, page)`` parent entry."""
+        pager = self._tree.pager
+        if (self._commit_every and self.nodes_written
+                and self.nodes_written % self._commit_every == 0):
+            pager.commit()
+        page_no = (pager.allocate() if self._pages is None
+                   else next(self._pages))
+        self._tree.pool.invalidate(page_no)
+        pager.write_page(page_no, serialize_node(
+            NodeRecord(is_leaf=is_leaf, entries=tuple(group))))
+        self.nodes_written += 1
+        return _mbr(group) + (page_no,)
+
+    def write_entries(self, group: list[Entry], is_leaf: bool) -> Entry:
+        """:meth:`write` for the :class:`Entry` groups of ``_pack_levels``."""
+        x1, y1, x2, y2, page_no = self.write(
+            [e.rect + (e.oid,) for e in group], is_leaf)
+        return Entry(rect=Rect(x1, y1, x2, y2), oid=page_no)
 
 
 class DiskRTree:
@@ -158,6 +251,28 @@ class DiskRTree:
         self.pool.put(page_no, serialize_node(record))
         return page_no
 
+    def _walk(self, page_no: int,
+              ) -> Iterator[tuple[int, int, bool, list[DiskEntry]]]:
+        """Level-order walk of the subtree at *page_no*.
+
+        Yields ``(level, page, is_leaf, entries)`` per node, *page_no*
+        itself at level 0.  Every whole-subtree read of the tree runs on
+        this one walk.
+        """
+        frontier = [page_no]
+        level = 0
+        while frontier:
+            below: list[int] = []
+            for page in frontier:
+                is_leaf, _count, entries = iter_node_entries(
+                    self.pool.get(page))
+                entries = list(entries)
+                yield level, page, is_leaf, entries
+                if not is_leaf:
+                    below.extend(e[4] for e in entries)
+            frontier = below
+            level += 1
+
     # -- properties -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -168,24 +283,23 @@ class DiskRTree:
         return self._root_page
 
     def depth(self) -> int:
-        """Edges from the root down to the leaf level."""
-        d = 0
-        node = self._read_node(self._root_page)
-        while not node.is_leaf:
-            node = self._read_node(node.entries[0][4])
-            d += 1
-        return d
+        """Edges from the root down to the leaf level (one path's reads)."""
+        depth = 0
+        is_leaf, _count, entries = iter_node_entries(
+            self.pool.get(self._root_page))
+        while not is_leaf:
+            is_leaf, _count, entries = iter_node_entries(
+                self.pool.get(next(entries)[4]))
+            depth += 1
+        return depth
 
     def node_count(self) -> int:
         """Total nodes, root included (walks the whole tree)."""
-        count = 0
-        stack = [self._root_page]
-        while stack:
-            node = self._read_node(stack.pop())
-            count += 1
-            if not node.is_leaf:
-                stack.extend(e[4] for e in node.entries)
-        return count
+        return self.subtree_node_count(self._root_page)
+
+    def subtree_node_count(self, page_no: int) -> int:
+        """Nodes in the subtree rooted at *page_no* (root included)."""
+        return sum(1 for _ in self._walk(page_no))
 
     def leaf_items(self) -> Iterable[tuple[Rect, int]]:
         """Yield every stored ``(rect, oid)`` pair (leaf-level scan).
@@ -194,25 +308,10 @@ class DiskRTree:
         so it is safe to consume while building a replacement tree
         beside this one (the offline-rebuild path).
         """
-        stack = [self._root_page]
-        while stack:
-            node = self._read_node(stack.pop())
-            if node.is_leaf:
-                for x1, y1, x2, y2, oid in node.entries:
+        for _level, _page, is_leaf, entries in self._walk(self._root_page):
+            if is_leaf:
+                for x1, y1, x2, y2, oid in entries:
                     yield Rect(x1, y1, x2, y2), oid
-            else:
-                stack.extend(e[4] for e in node.entries)
-
-    def subtree_node_count(self, page_no: int) -> int:
-        """Nodes in the subtree rooted at *page_no* (root included)."""
-        count = 0
-        stack = [page_no]
-        while stack:
-            node = self._read_node(stack.pop())
-            count += 1
-            if not node.is_leaf:
-                stack.extend(e[4] for e in node.entries)
-        return count
 
     def entry_rects(self) -> list[tuple[int, bool, Rect]]:
         """``(level, is_leaf_entry, rect)`` for every entry, level order.
@@ -222,20 +321,10 @@ class DiskRTree:
         :func:`repro.relational.stats.summarize_index` without exposing
         pages or node records.
         """
-        out: list[tuple[int, bool, Rect]] = []
-        frontier = [self._root_page]
-        level = 1
-        while frontier:
-            nxt: list[int] = []
-            for page_no in frontier:
-                node = self._read_node(page_no)
-                for e in node.entries:
-                    out.append((level, node.is_leaf, _entry_rect(e)))
-                    if not node.is_leaf:
-                        nxt.append(e[4])
-            frontier = nxt
-            level += 1
-        return out
+        return [(level + 1, is_leaf, Rect(x1, y1, x2, y2))
+                for level, _page, is_leaf, entries
+                in self._walk(self._root_page)
+                for x1, y1, x2, y2, _ptr in entries]
 
     # -- bulk load ---------------------------------------------------------------
 
@@ -245,46 +334,32 @@ class DiskRTree:
 
         The grouping strategies are shared with the in-memory packer
         (``nn``/``lowx``/``str``/``hilbert``); nodes are written level by
-        level, so the build performs sequential page writes — the
-        construction-cost advantage PACK has in practice.
+        level onto consecutive pages, so the build performs sequential
+        page writes — the construction-cost advantage PACK has in
+        practice.  Unlike the in-memory PACK, the trailing node of each
+        level is kept at the minimum fill.  Every item is checked before
+        any page is written.
 
         Raises:
             ValueError: when the tree already contains objects (bulk load
-                is an initial-construction operation, per Section 3.3).
+                is an initial-construction operation, per Section 3.3),
+                or for a negative object id or an invalid rectangle.
         """
         if self._size:
             raise ValueError("bulk_load requires an empty tree")
         group_fn = _lookup_method(method)
         distance_fn = _lookup_distance(distance)
-        entries = [Entry(rect=rect, oid=oid) for rect, oid in items]
-        self._size = len(entries)
-        if not entries:
-            self._write_meta()
-            return
-        with obs.timer("storage.disk_rtree.bulk_load"):
-            is_leaf = True
-            level = 0
-            while len(entries) > self.max_entries:
-                groups = group_fn(entries, self.max_entries, distance_fn)
-                if obs.ENABLED:
-                    obs.active().bump("storage.disk_rtree.nodes_written",
-                                      len(groups))
-                    obs.active().bump(
-                        f"storage.disk_rtree.nodes_written.level{level}",
-                        len(groups))
-                next_level: list[Entry] = []
-                for group in groups:
-                    page_no = self._materialize(group, is_leaf)
-                    mbr = mbr_of_rects(e.rect for e in group)
-                    next_level.append(Entry(rect=mbr, oid=page_no))
-                entries = next_level
-                is_leaf = False
-                level += 1
-            self._root_page = self._materialize(entries, is_leaf)
-            if obs.ENABLED:
-                obs.active().bump("storage.disk_rtree.nodes_written")
-                obs.active().bump(
-                    f"storage.disk_rtree.nodes_written.level{level}")
+        entries = [Entry(rect=rect, oid=_checked_oid(rect, oid))
+                   for rect, oid in items]
+        if entries:
+            with obs.timer("storage.disk_rtree.bulk_load"):
+                writer = _NodeWriter.fresh(self, sum(
+                    _level_sizes(len(entries), self.max_entries)))
+                root, _height = _pack_levels(
+                    entries, self.max_entries, group_fn, distance_fn,
+                    writer.write_entries, writer.min_fill)
+            assert root.oid == self._root_page, "level sizes drifted"
+            self._size = len(entries)
         self._write_meta()
 
     def bulk_load_stream(self, items: Iterable[tuple[Rect, int]],
@@ -308,32 +383,26 @@ class DiskRTree:
                                 run_size=run_size, workers=workers,
                                 tmp_dir=tmp_dir)
 
-    def _materialize(self, group: Sequence[Entry], is_leaf: bool) -> int:
-        record = NodeRecord(is_leaf=is_leaf, entries=tuple(
-            (e.rect.x1, e.rect.y1, e.rect.x2, e.rect.y2, int(e.oid))
-            for e in group))
-        return self._write_node(self.pager.allocate(), record)
-
     # -- search ---------------------------------------------------------------
 
-    def search(self, window: Rect, stats=None,
-               zero_copy: bool = True) -> list[int]:
+    @staticmethod
+    def _count_query(nodes: int, results: int) -> None:
+        reg = obs.active()
+        reg.bump("storage.disk_rtree.queries")
+        reg.bump("storage.disk_rtree.nodes_read", nodes)
+        reg.bump("storage.disk_rtree.results", results)
+
+    def search(self, window: Rect, stats=None) -> list[int]:
         """Object ids whose rectangle intersects *window*.
 
-        The default traversal is **zero-copy**: entries are iterated by
-        ``struct.iter_unpack`` over a memoryview of the buffered page
-        payload and the intersection test is inlined on the raw floats —
-        no :class:`NodeRecord`, no per-entry :class:`Rect`.  Pass
-        ``zero_copy=False`` to force the object path (the equivalence
-        tests compare the two).  *stats* is any object with a
-        ``record_page(is_leaf, nentries)`` method, e.g.
+        Entries are iterated as raw ``(x1, y1, x2, y2, ptr)`` tuples
+        straight off the buffered page payload and tested inline — no
+        :class:`NodeRecord`, no per-entry :class:`Rect`.  *stats* is any
+        object with a ``record_page(is_leaf, nentries)`` method, e.g.
         :class:`~repro.rtree.search.SearchStats`.
         """
-        if not zero_copy:
-            return self._search_objects(window, stats)
         out: list[int] = []
         stack = [self._root_page]
-        track = obs.ENABLED
         nodes = 0
         wx1, wy1, wx2, wy2 = window
         pool_get = self.pool.get
@@ -347,50 +416,19 @@ class DiskRTree:
             for x1, y1, x2, y2, ptr in entries:
                 if x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2:
                     hits.append(ptr)
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
+        if obs.ENABLED:
+            self._count_query(nodes, len(out))
         return out
 
-    def _search_objects(self, window: Rect, stats=None) -> list[int]:
-        """The NodeRecord-materialising twin of :meth:`search`."""
-        out: list[int] = []
-        stack = [self._root_page]
-        track = obs.ENABLED
-        nodes = 0
-        while stack:
-            node = self._read_node(stack.pop())
-            nodes += 1
-            if stats is not None:
-                stats.record_page(node.is_leaf, len(node.entries))
-            for e in node.entries:
-                if _entry_rect(e).intersects(window):
-                    if node.is_leaf:
-                        out.append(e[4])
-                    else:
-                        stack.append(e[4])
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
-        return out
-
-    def search_within(self, window: Rect, stats=None,
-                      zero_copy: bool = True) -> list[int]:
+    def search_within(self, window: Rect, stats=None) -> list[int]:
         """Object ids whose rectangle lies entirely within *window*.
 
         The paper's SEARCH semantics (INTERSECTS to descend, WITHIN at
         the leaves), mirroring :meth:`repro.rtree.tree.RTree.search_within`.
-        See :meth:`search` for the *stats* / *zero_copy* knobs.
+        See :meth:`search` for *stats*.
         """
-        if not zero_copy:
-            return self._search_within_objects(window, stats)
         out: list[int] = []
         stack = [self._root_page]
-        track = obs.ENABLED
         nodes = 0
         wx1, wy1, wx2, wy2 = window
         pool_get = self.pool.get
@@ -408,49 +446,17 @@ class DiskRTree:
                 for x1, y1, x2, y2, ptr in entries:
                     if x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2:
                         stack.append(ptr)
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
+        if obs.ENABLED:
+            self._count_query(nodes, len(out))
         return out
 
-    def _search_within_objects(self, window: Rect,
-                               stats=None) -> list[int]:
-        """The NodeRecord-materialising twin of :meth:`search_within`."""
-        out: list[int] = []
-        stack = [self._root_page]
-        track = obs.ENABLED
-        nodes = 0
-        while stack:
-            node = self._read_node(stack.pop())
-            nodes += 1
-            if stats is not None:
-                stats.record_page(node.is_leaf, len(node.entries))
-            for e in node.entries:
-                if node.is_leaf:
-                    if window.contains(_entry_rect(e)):
-                        out.append(e[4])
-                elif _entry_rect(e).intersects(window):
-                    stack.append(e[4])
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
-        return out
-
-    def point_query(self, point: Point, stats=None,
-                    zero_copy: bool = True) -> list[int]:
+    def point_query(self, point: Point, stats=None) -> list[int]:
         """Object ids whose rectangle contains *point*.
 
-        See :meth:`search` for the *stats* / *zero_copy* knobs.
+        See :meth:`search` for *stats*.
         """
-        if not zero_copy:
-            return self._point_query_objects(point, stats)
         out: list[int] = []
         stack = [self._root_page]
-        track = obs.ENABLED
         nodes = 0
         px, py = point.x, point.y
         pool_get = self.pool.get
@@ -464,62 +470,28 @@ class DiskRTree:
             for x1, y1, x2, y2, ptr in entries:
                 if x1 <= px <= x2 and y1 <= py <= y2:
                     hits.append(ptr)
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
+        if obs.ENABLED:
+            self._count_query(nodes, len(out))
         return out
 
-    def _point_query_objects(self, point: Point, stats=None) -> list[int]:
-        """The NodeRecord-materialising twin of :meth:`point_query`."""
-        out: list[int] = []
-        stack = [self._root_page]
-        track = obs.ENABLED
-        nodes = 0
-        while stack:
-            node = self._read_node(stack.pop())
-            nodes += 1
-            if stats is not None:
-                stats.record_page(node.is_leaf, len(node.entries))
-            for e in node.entries:
-                if _entry_rect(e).contains_point(point):
-                    if node.is_leaf:
-                        out.append(e[4])
-                    else:
-                        stack.append(e[4])
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
-        return out
-
-    def knn(self, point: Point, k: int = 1, stats=None,
-            zero_copy: bool = True) -> list[tuple[float, int]]:
+    def knn(self, point: Point, k: int = 1,
+            stats=None) -> list[tuple[float, int]]:
         """The *k* objects nearest *point*, as ``(distance, oid)`` pairs.
 
         Best-first MINDIST branch-and-bound over pages (the disk-resident
         version of :func:`repro.rtree.search.knn_search`); only pages
-        whose MBR could contain a result are faulted in.  The default
-        zero-copy traversal computes MINDIST on the raw entry floats;
-        both paths produce bit-identical distances
-        (:meth:`~repro.geometry.rect.Rect.min_distance_to` of the
-        degenerate query rectangle).
+        whose MBR could contain a result are faulted in.  MINDIST is
+        computed on the raw entry floats and equals, bit for bit,
+        :meth:`~repro.geometry.rect.Rect.min_distance_to` of the
+        degenerate query rectangle.
 
         Raises:
             ValueError: for non-positive *k*.
         """
-        import heapq
-
         if k <= 0:
             raise ValueError("k must be positive")
         if self._size == 0:
             return []
-        if not zero_copy:
-            return self._knn_objects(point, k, stats)
-        import math
-
         px, py = point.x, point.y
         counter = 0
         # Heap items: (distance, tiebreak, is_object, page_or_oid)
@@ -528,8 +500,9 @@ class DiskRTree:
         out: list[tuple[float, int]] = []
         pool_get = self.pool.get
         hypot = math.hypot
+        heappush, heappop = heapq.heappush, heapq.heappop
         while heap and len(out) < k:
-            dist, _tb, is_object, ref = heapq.heappop(heap)
+            dist, _tb, is_object, ref = heappop(heap)
             if is_object:
                 out.append((dist, ref))
                 continue
@@ -548,42 +521,14 @@ class DiskRTree:
                     dy = py - y2
                 if dy < 0.0:
                     dy = 0.0
-                heapq.heappush(heap,
-                               (hypot(dx, dy), counter, is_leaf, ptr))
-        return out
-
-    def _knn_objects(self, point: Point, k: int,
-                     stats=None) -> list[tuple[float, int]]:
-        """The NodeRecord-materialising twin of :meth:`knn`."""
-        import heapq
-
-        qrect = Rect.from_point(point)
-        counter = 0
-        heap: list[tuple[float, int, bool, int]] = [
-            (0.0, counter, False, self._root_page)]
-        out: list[tuple[float, int]] = []
-        while heap and len(out) < k:
-            dist, _tb, is_object, ref = heapq.heappop(heap)
-            if is_object:
-                out.append((dist, ref))
-                continue
-            node = self._read_node(ref)
-            if stats is not None:
-                stats.record_page(node.is_leaf, len(node.entries))
-            for e in node.entries:
-                counter += 1
-                d = _entry_rect(e).min_distance_to(qrect)
-                heapq.heappush(heap, (d, counter, node.is_leaf, e[4]))
+                heappush(heap, (hypot(dx, dy), counter, is_leaf, ptr))
         return out
 
     # -- insert -----------------------------------------------------------------
 
     def insert(self, rect: Rect, oid: int) -> None:
         """Guttman INSERT against the on-page representation."""
-        if oid < 0:
-            raise ValueError("object ids must be non-negative integers")
-        if not rect.is_valid():
-            raise ValueError(f"invalid rectangle {rect!r}")
+        oid = _checked_oid(rect, oid)
         path = self._choose_leaf_path(rect)
         leaf_page = path[-1]
         node = self._read_node(leaf_page)
@@ -617,44 +562,39 @@ class DiskRTree:
 
     def _store_and_adjust(self, path: list[int], entries: list[DiskEntry],
                           is_leaf: bool) -> None:
-        """Write the modified node, splitting and propagating as needed."""
+        """Write the modified node, splitting and propagating as needed.
+
+        Each node's MBR comes from the entries just written to it; no
+        page is read back.
+        """
         level = len(path) - 1
         page_no = path[level]
-        sibling: Optional[tuple[Rect, int]] = None  # (mbr, page)
 
         while True:
+            sibling: Optional[DiskEntry] = None  # (mbr, page)
             if len(entries) > self.max_entries:
-                g1, g2 = self._split_disk_entries(entries)
+                entries, g2 = self._split_disk_entries(entries)
                 self._write_node(page_no, NodeRecord(
-                    is_leaf=is_leaf, entries=tuple(g1)))
+                    is_leaf=is_leaf, entries=tuple(entries)))
                 sib_page = self.pager.allocate()
                 self._write_node(sib_page, NodeRecord(
                     is_leaf=is_leaf, entries=tuple(g2)))
-                sibling = (self._entries_mbr(g2), sib_page)
+                sibling = _mbr(g2) + (sib_page,)
             else:
                 self._write_node(page_no, NodeRecord(
                     is_leaf=is_leaf, entries=tuple(entries)))
-                sibling = None
 
             if level == 0:
                 if sibling is not None:
-                    node_mbr = self._entries_mbr(
-                        deserialize_node(self.pool.get(page_no)).entries)
-                    self._grow_root(page_no, node_mbr, sibling)
+                    self._grow_root(_mbr(entries) + (page_no,), sibling)
                 return
-            node_mbr = self._entries_mbr(
-                deserialize_node(self.pool.get(page_no)).entries)
             # Update the parent entry for this page, then move up.
+            node_entry = _mbr(entries) + (page_no,)
             parent_page = path[level - 1]
-            parent = self._read_node(parent_page)
-            parent_entries = [
-                ((node_mbr.x1, node_mbr.y1, node_mbr.x2, node_mbr.y2, p)
-                 if p == page_no else (x1, y1, x2, y2, p))
-                for (x1, y1, x2, y2, p) in parent.entries]
+            parent_entries = [node_entry if e[4] == page_no else e
+                              for e in self._read_node(parent_page).entries]
             if sibling is not None:
-                smbr, spage = sibling
-                parent_entries.append(
-                    (smbr.x1, smbr.y1, smbr.x2, smbr.y2, spage))
+                parent_entries.append(sibling)
             level -= 1
             page_no = parent_page
             entries = parent_entries
@@ -665,25 +605,13 @@ class DiskRTree:
                             ) -> tuple[list[DiskEntry], list[DiskEntry]]:
         wrapped = [Entry(rect=_entry_rect(e), oid=e[4]) for e in entries]
         g1, g2 = self._splitter.split(wrapped, self.min_entries)
+        return ([e.rect + (e.oid,) for e in g1],
+                [e.rect + (e.oid,) for e in g2])
 
-        def unwrap(group: list[Entry]) -> list[DiskEntry]:
-            return [(e.rect.x1, e.rect.y1, e.rect.x2, e.rect.y2, int(e.oid))
-                    for e in group]
-
-        return unwrap(g1), unwrap(g2)
-
-    @staticmethod
-    def _entries_mbr(entries: Sequence[DiskEntry]) -> Rect:
-        return mbr_of_rects(_entry_rect(e) for e in entries)
-
-    def _grow_root(self, old_root: int, old_mbr: Rect,
-                   sibling: tuple[Rect, int]) -> None:
-        smbr, spage = sibling
+    def _grow_root(self, old_root: DiskEntry, sibling: DiskEntry) -> None:
         new_root = self.pager.allocate()
-        self._write_node(new_root, NodeRecord(is_leaf=False, entries=(
-            (old_mbr.x1, old_mbr.y1, old_mbr.x2, old_mbr.y2, old_root),
-            (smbr.x1, smbr.y1, smbr.x2, smbr.y2, spage),
-        )))
+        self._write_node(new_root, NodeRecord(is_leaf=False,
+                                              entries=(old_root, sibling)))
         self._root_page = new_root
 
     # -- delete ---------------------------------------------------------------
@@ -748,7 +676,7 @@ class DiskRTree:
             # into data entries and re-insert them.
             data = []
             for e in entries:
-                data.extend(self._collect_leaf_entries(e[4]))
+                data.extend(self._collect_leaf_entries(e[4])[0])
             self._detach(parent_path)
             for x1, y1, x2, y2, oid in data:
                 self._size -= 1
@@ -756,22 +684,25 @@ class DiskRTree:
         else:
             self._store_and_adjust(parent_path, entries, is_leaf=False)
 
-    def _collect_leaf_entries(self, page_no: int) -> list[DiskEntry]:
+    def _collect_leaf_entries(self, page_no: int,
+                              ) -> tuple[list[DiskEntry], int, int]:
+        """Free the subtree at *page_no*.
+
+        Returns ``(leaf entries, nodes freed, height)``, the height in
+        edges from *page_no* down to its leaves.
+        """
         out: list[DiskEntry] = []
-        stack = [page_no]
         pages = []
-        while stack:
-            p = stack.pop()
-            pages.append(p)
-            node = self._read_node(p)
-            if node.is_leaf:
-                out.extend(node.entries)
-            else:
-                stack.extend(e[4] for e in node.entries)
+        height = 0
+        for level, page, is_leaf, entries in self._walk(page_no):
+            pages.append(page)
+            if is_leaf:
+                out.extend(entries)
+                height = level
         for p in pages:
             self.pool.invalidate(p)
             self.pager.free(p)
-        return out
+        return out, len(pages), height
 
     def _collapse_root(self) -> None:
         node = self._read_node(self._root_page)

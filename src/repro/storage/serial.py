@@ -19,16 +19,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-_NODE_HEADER_FMT = "<BH"
-_NODE_HEADER_SIZE = struct.calcsize(_NODE_HEADER_FMT)
-_ENTRY_FMT = "<ddddQ"
-_ENTRY_SIZE = struct.calcsize(_ENTRY_FMT)
-
-# Precompiled Structs for the zero-copy read path: iter_unpack over a
-# memoryview yields entry tuples straight out of the page buffer with no
-# NodeRecord (or per-entry Rect) materialisation.
-_HEADER = struct.Struct(_NODE_HEADER_FMT)
-_ENTRY = struct.Struct(_ENTRY_FMT)
+_HEADER = struct.Struct("<BH")
+_ENTRY = struct.Struct("<ddddQ")
+_NODE_HEADER_SIZE = _HEADER.size
+_ENTRY_SIZE = _ENTRY.size
 
 
 @dataclass(frozen=True)
@@ -63,12 +57,12 @@ def serialize_node(record: NodeRecord) -> bytes:
     """Encode *record* as a page payload."""
     if len(record.entries) > 0xFFFF:
         raise ValueError("entry count exceeds the u16 on-disk field")
-    parts = [struct.pack(_NODE_HEADER_FMT, int(record.is_leaf),
-                         len(record.entries))]
+    parts = [_HEADER.pack(int(record.is_leaf), len(record.entries))]
+    pack = _ENTRY.pack
     for x1, y1, x2, y2, pointer in record.entries:
         if pointer < 0:
             raise ValueError("on-disk pointers must be non-negative")
-        parts.append(struct.pack(_ENTRY_FMT, x1, y1, x2, y2, pointer))
+        parts.append(pack(x1, y1, x2, y2, pointer))
     return b"".join(parts)
 
 
@@ -78,36 +72,20 @@ def deserialize_node(payload: bytes) -> NodeRecord:
     Raises:
         ValueError: on truncated or inconsistent payloads.
     """
-    if len(payload) < _NODE_HEADER_SIZE:
-        raise ValueError("payload too short for a node header")
-    is_leaf, count = struct.unpack_from(_NODE_HEADER_FMT, payload)
-    expected = _NODE_HEADER_SIZE + count * _ENTRY_SIZE
-    if len(payload) < expected:
-        raise ValueError(
-            f"payload holds {len(payload)} bytes but header promises "
-            f"{expected}")
-    entries = []
-    offset = _NODE_HEADER_SIZE
-    for _ in range(count):
-        x1, y1, x2, y2, pointer = struct.unpack_from(_ENTRY_FMT, payload,
-                                                     offset)
-        entries.append((x1, y1, x2, y2, pointer))
-        offset += _ENTRY_SIZE
-    return NodeRecord(is_leaf=bool(is_leaf), entries=tuple(entries))
+    is_leaf, _count, entries = iter_node_entries(payload)
+    return NodeRecord(is_leaf=is_leaf, entries=tuple(entries))
 
 
 def iter_node_entries(payload: bytes):
-    """Zero-copy view of a node payload: ``(is_leaf, count, entries)``.
+    """The node decoder: ``(is_leaf, count, entries)`` of a page payload.
 
     *entries* is a ``struct.iter_unpack`` iterator yielding
     ``(x1, y1, x2, y2, pointer)`` tuples directly from a memoryview of
-    the payload — no :class:`NodeRecord`, no intermediate list.  This is
-    the read-only traversal twin of :func:`deserialize_node` (which
-    write paths keep using, since they mutate entry sets).
+    the payload — no :class:`NodeRecord`, no intermediate list — so
+    read-only traversals decode nothing they do not test.
 
     Raises:
-        ValueError: on truncated payloads, exactly as
-            :func:`deserialize_node` would.
+        ValueError: on truncated or inconsistent payloads.
     """
     if len(payload) < _NODE_HEADER_SIZE:
         raise ValueError("payload too short for a node header")

@@ -1,13 +1,15 @@
-"""Hypothesis properties for the streaming bulk loader's packing invariants.
+"""Hypothesis properties for the disk trees' packing invariants.
 
-Every sort method — hilbert, lowx, str, and the sample-based adaptive
-chooser — must produce trees that:
+Every loader — the streaming ``bulk_load_stream`` with each sort key
+(hilbert, lowx, str, adaptive), ``DiskRTree.bulk_load`` with each PACK
+grouping (nn, lowx, str, hilbert) — and every ``local_repack_disk``
+splice must produce trees that:
 
 - obey PACK Theorem 3.2 level-by-level (``ceil(n/M)`` nodes per level,
   which the min-fill tail redistribution must not change),
 - answer window queries identically to a brute-force scan, and
 - keep every non-root node's fill inside ``[min_fill, max_entries]``
-  (the trailing-node bugfix: no near-empty rightmost spine).
+  (the trailing-node rule: no near-empty rightmost spine).
 
 Distributions are drawn adversarially: uniform points, tight Gaussian
 clusters, duplicated coordinates, degenerate single-point inputs.
@@ -16,11 +18,13 @@ clusters, duplicated coordinates, degenerate single-point inputs.
 import math
 import os
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
 from repro.rtree.bulkload import SORT_KEYS, bulk_load_stream
+from repro.rtree.packing import PACK_METHODS
+from repro.rtree.repack import _smallest_subtree_pages, local_repack_disk
 from repro.storage.disk_rtree import DiskRTree
 
 coords = st.floats(min_value=0.0, max_value=1000.0,
@@ -28,9 +32,9 @@ coords = st.floats(min_value=0.0, max_value=1000.0,
 
 
 @st.composite
-def item_sets(draw):
+def item_sets(draw, min_size=0):
     """Point-like and extended rectangles, uniform or clustered."""
-    n = draw(st.integers(min_value=0, max_value=220))
+    n = draw(st.integers(min_value=min_size, max_value=220))
     clustered = draw(st.booleans())
     rng = draw(st.randoms(use_true_random=False))
     items = []
@@ -50,6 +54,8 @@ def item_sets(draw):
 
 methods = st.sampled_from(SORT_KEYS)
 fanouts = st.integers(min_value=4, max_value=16)
+WINDOWS = [Rect(0, 0, 1000, 1000), Rect(200, 200, 450, 450),
+           Rect(900, 900, 1000, 1000), Rect(0, 480, 1000, 520)]
 
 
 def build(tmp_path, items, method, max_entries, run_size):
@@ -59,21 +65,42 @@ def build(tmp_path, items, method, max_entries, run_size):
     return tree
 
 
-def level_fills(tree):
-    """Entry counts per node, level by level, root first."""
+def level_fills(tree, page=None):
+    """Entry counts per node, level by level, from *page* (the root)."""
     levels = []
-    frontier = [tree.root_page]
-    while frontier:
-        nxt = []
-        counts = []
-        for page in frontier:
-            node = tree._read_node(page)
-            counts.append(len(node.entries))
-            if not node.is_leaf:
-                nxt.extend(e[4] for e in node.entries)
-        levels.append(counts)
-        frontier = nxt
+    for level, _page, _is_leaf, entries in tree._walk(
+            tree.root_page if page is None else page):
+        if level == len(levels):
+            levels.append([])
+        levels[level].append(len(entries))
     return levels
+
+
+def assert_packed(levels, n, max_entries, min_fill):
+    """Theorem 3.2's chain and the fill bound over *levels* (root first)."""
+    # Theorem 3.2: every level holds exactly ceil(below / M) nodes.
+    expect = max(1, math.ceil(n / max_entries))
+    for counts in reversed(levels):
+        assert len(counts) == expect, f"level sizes {levels}"
+        expect = max(1, math.ceil(len(counts) / max_entries))
+    # Fill bounds: every node <= M, every non-root node >= min_fill.
+    for counts in levels:
+        assert all(c <= max_entries for c in counts)
+    for counts in levels[1:]:
+        assert all(c >= min_fill for c in counts), f"underfull: {levels}"
+
+
+def assert_tree(tree, items, max_entries):
+    assert len(tree) == len(items)
+    assert_packed(level_fills(tree), len(items), max_entries,
+                  min(tree.min_entries, max_entries // 2))
+    assert_brute_force(tree, items)
+
+
+def assert_brute_force(tree, items):
+    for window in WINDOWS:
+        assert sorted(tree.search(window)) == sorted(
+            oid for rect, oid in items if rect.intersects(window))
 
 
 @given(items=item_sets(), method=methods, max_entries=fanouts,
@@ -85,31 +112,66 @@ def test_packing_invariants(tmp_path_factory, items, method, max_entries,
     tmp = tmp_path_factory.mktemp("bulkprop")
     tree = build(tmp, items, method, max_entries, run_size)
     try:
-        assert len(tree) == len(items)
-        levels = level_fills(tree)
+        assert_tree(tree, items, max_entries)
+    finally:
+        tree.close()
 
-        # Theorem 3.2: every level holds exactly ceil(below / M) nodes.
-        expect = max(1, math.ceil(len(items) / max_entries))
-        for counts in reversed(levels):
-            assert len(counts) == expect
-            expect = max(1, math.ceil(len(counts) / max_entries))
 
-        # Fill bounds: every non-root node in [min_fill, max_entries].
-        min_fill = min(tree.min_entries, max_entries // 2)
-        for counts in levels:
-            assert all(c <= max_entries for c in counts)
-        for counts in levels[1:]:
-            assert all(c >= min_fill for c in counts), (
-                f"underfull node: {levels}")
+@given(items=item_sets(), method=st.sampled_from(sorted(PACK_METHODS)),
+       max_entries=fanouts)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_in_memory_loader_invariants(tmp_path_factory, items, method,
+                                     max_entries):
+    """``DiskRTree.bulk_load`` meets the same bounds as the stream."""
+    path = os.path.join(str(tmp_path_factory.mktemp("memprop")), "m.db")
+    tree = DiskRTree(path, max_entries=max_entries)
+    try:
+        tree.bulk_load(items, method=method)
+        assert_tree(tree, items, max_entries)
+    finally:
+        tree.close()
 
-        # Brute-force window equivalence on a spread of windows.
-        windows = [Rect(0, 0, 1000, 1000), Rect(200, 200, 450, 450),
-                   Rect(900, 900, 1000, 1000), Rect(0, 480, 1000, 520)]
-        for window in windows:
-            got = sorted(tree.search(window))
-            expect_ids = sorted(oid for rect, oid in items
-                                if rect.intersects(window))
-            assert got == expect_ids
+
+@given(items=item_sets(min_size=40), max_entries=st.integers(4, 8),
+       hot=st.tuples(coords, coords), extra=st.integers(0, 80),
+       method=st.sampled_from(sorted(PACK_METHODS)))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.large_base_example])
+def test_splice_invariants(tmp_path_factory, items, max_entries, hot,
+                           extra, method):
+    """A ``local_repack_disk`` splice packs its subtree to the same
+    bounds (under any single-entry pad pages that keep leaf depth)."""
+    path = os.path.join(str(tmp_path_factory.mktemp("splice")), "s.db")
+    tree = DiskRTree(path, max_entries=max_entries)
+    try:
+        tree.bulk_load(items, method="hilbert")
+        live = list(items)
+        for i in range(extra):   # hot-spot inserts split leaves
+            x = min(hot[0] + (i % 9), 999.0)
+            y = min(hot[1] + (i // 9), 999.0)
+            live.append((Rect(x, y, x + 1, y + 1), len(live)))
+            tree.insert(*live[-1])
+        region = live[-1][0]
+        path_pages = _smallest_subtree_pages(tree, region)
+        assume(len(path_pages) > 1)
+        parent = tree._read_node(path_pages[-2])
+        slot = [e[4] for e in parent.entries].index(path_pages[-1])
+
+        result = local_repack_disk(tree, region, method=method)
+        new_root = tree._read_node(path_pages[-2]).entries[slot][4]
+        levels = level_fills(tree, new_root)
+        while len(levels) > 1 and levels[0] == [1]:   # pad pages
+            levels.pop(0)
+        assert_packed(levels, result.entries_repacked, max_entries,
+                      min(tree.min_entries, max_entries // 2))
+        assert len({level for level, _page, is_leaf, _entries
+                    in tree._walk(tree.root_page) if is_leaf}) == 1
+        assert len(tree) == len(live)
+        assert_brute_force(tree, live)
+        assert 2 + tree.node_count() + len(tree.pager._free_pages) \
+            == tree.pager.page_count
     finally:
         tree.close()
 

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.storage import DiskRTree
+from repro.rtree.bulkload import bulk_load_stream
+from repro.storage import DiskRTree, failpoints
+from repro.storage.pager import FP_COMMIT_AFTER_SYNC
 from repro.workloads import uniform_points
 
 
@@ -141,6 +143,54 @@ def test_delete_everything_then_insert(tmp_path, items):
         assert t.search(Rect(0, 0, 10, 10)) == [7]
 
 
+LOADERS = {
+    "bulk_load": lambda t, items: t.bulk_load(items, method="str"),
+    "bulk_load_stream": lambda t, items: t.bulk_load_stream(items,
+                                                            run_size=40),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("bad", [
+    (Rect(5, 5, 1, 1), 0),                                   # inverted
+    (Rect(float("nan"), 0, 1, 1), 0),                        # NaN
+    (Rect(0, 0, 1, 1), -3),                                  # negative oid
+], ids=["inverted", "nan", "negative-oid"])
+def test_loaders_validate_every_item_first(tmp_path, items, loader, bad):
+    """A bad item anywhere fails the load before any page is written."""
+    load = LOADERS[loader]
+    with DiskRTree(str(tmp_path / "t.db"), max_entries=8) as t:
+        with pytest.raises(ValueError,
+                           match="invalid rectangle|non-negative"):
+            load(t, items[:51] + [bad] + items[51:100])
+        assert len(t) == 0
+        assert t.search(Rect(0, 0, 1000, 1000)) == []
+        load(t, items)
+        assert len(t) == 300
+        assert sorted(t.search(WINDOW)) == brute(items, WINDOW)
+
+
+def _page_census(t):
+    """(header + meta + reachable node pages + free pages, page_count)."""
+    reachable = t.node_count()
+    return 2 + reachable + len(t.pager._free_pages), t.pager.page_count
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loaders_leak_no_page(tmp_path, loader):
+    """The constructor's empty root page is reused, not orphaned."""
+    pts = uniform_points(1000, seed=8)
+    items = [(Rect.from_point(p), i) for i, p in enumerate(pts)]
+    path = str(tmp_path / "t.db")
+    with DiskRTree(path, max_entries=8) as t:
+        LOADERS[loader](t, items)
+        accounted, pages = _page_census(t)
+        assert accounted == pages
+    with DiskRTree(path) as t:
+        assert _page_census(t) == (pages, pages)
+        assert sorted(t.search(WINDOW)) == brute(items, WINDOW)
+
+
 def test_invalid_oid_rejected(tmp_path):
     with DiskRTree(str(tmp_path / "t.db"), max_entries=8) as t:
         with pytest.raises(ValueError):
@@ -187,3 +237,27 @@ def test_flush_then_crash_consistency(tmp_path, items):
     assert sorted(t2.search(WINDOW)) == brute(items[:100], WINDOW)
     t2.close()
     t.close()
+
+
+@pytest.mark.parametrize("loader", ["bulk_load", "bulk_load_stream"])
+def test_crash_after_mid_build_commit_reopens_empty(tmp_path, loader):
+    """A WAL build that commits part-way and then crashes reopens empty."""
+    pts = uniform_points(3500, seed=9)
+    items = [(Rect.from_point(p), i) for i, p in enumerate(pts)]
+    path, wal = str(tmp_path / "t.db"), str(tmp_path / "t.wal")
+    t = DiskRTree(path, max_entries=4, wal_path=wal, wal_sync="none")
+    failpoints.arm(FP_COMMIT_AFTER_SYNC, "crash")
+    try:
+        with pytest.raises(failpoints.SimulatedCrash):
+            if loader == "bulk_load":
+                t.bulk_load(items, method="str")  # 1,168 nodes > 1,024
+            else:
+                bulk_load_stream(t, items, run_size=500, commit_every=8)
+    finally:
+        failpoints.reset()
+    del t  # crash: abandon the handles without closing
+    with DiskRTree(path, wal_path=wal, wal_sync="none") as t:
+        assert len(t) == 0
+        assert t.search(Rect(0, 0, 1000, 1000)) == []
+        t.bulk_load(items[:100])
+        assert sorted(t.search(WINDOW)) == brute(items[:100], WINDOW)

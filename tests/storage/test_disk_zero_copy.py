@@ -1,8 +1,9 @@
-"""Zero-copy disk traversals vs. the NodeRecord path, and meta checks.
+"""The disk tree's read path against brute force, and meta checks.
 
-The zero-copy search paths iterate raw struct-packed entries straight
-off buffered page payloads; these tests pin them to the object paths:
-same results, same page-access counts, bit-identical kNN distances.
+The traversals iterate raw struct-packed entries straight off buffered
+page payloads; these tests pin every query to a scan over the loaded
+items: same answers, kNN distances equal to ``Rect.min_distance_to``
+bit for bit, and page-access counts equal to what the page walk finds.
 """
 
 import struct
@@ -27,78 +28,79 @@ POINTS = [Point(500, 500), Point(123.25, 456.75), Point(-10, -10)]
 
 
 @pytest.fixture(scope="module", params=["points", "rects"])
-def tree(request, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("zc") / f"{request.param}.db")
+def items(request):
     if request.param == "points":
-        items = [(Rect.from_point(p), i)
-                 for i, p in enumerate(uniform_points(600, seed=31))]
-    else:
-        items = [(r, i)
-                 for i, r in enumerate(uniform_rects(600, seed=32,
-                                                     max_side=40))]
-    t = DiskRTree(path, max_entries=16)
+        return [(Rect.from_point(p), i)
+                for i, p in enumerate(uniform_points(600, seed=31))]
+    return [(r, i)
+            for i, r in enumerate(uniform_rects(600, seed=32, max_side=40))]
+
+
+@pytest.fixture(scope="module")
+def tree(items, tmp_path_factory):
+    t = DiskRTree(str(tmp_path_factory.mktemp("zc") / "t.db"),
+                  max_entries=16)
     t.bulk_load(items)
     yield t
     t.close()
 
 
+def brute(items, keep):
+    return sorted(oid for rect, oid in items if keep(rect))
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("window", WINDOWS)
-    def test_search(self, tree, window):
-        fast = SearchStats()
-        slow = SearchStats()
-        assert sorted(tree.search(window, stats=fast)) == \
-            sorted(tree.search(window, stats=slow, zero_copy=False))
-        assert fast == slow
+    def test_search(self, tree, items, window):
+        assert sorted(tree.search(window)) == brute(items, window.intersects)
 
     @pytest.mark.parametrize("window", WINDOWS)
-    def test_search_within(self, tree, window):
-        fast = SearchStats()
-        slow = SearchStats()
-        assert sorted(tree.search_within(window, stats=fast)) == \
-            sorted(tree.search_within(window, stats=slow,
-                                      zero_copy=False))
-        assert fast == slow
+    def test_search_within(self, tree, items, window):
+        assert sorted(tree.search_within(window)) == \
+            brute(items, window.contains)
 
     @pytest.mark.parametrize("point", POINTS)
-    def test_point_query(self, tree, point):
-        fast = SearchStats()
-        slow = SearchStats()
-        assert sorted(tree.point_query(point, stats=fast)) == \
-            sorted(tree.point_query(point, stats=slow, zero_copy=False))
-        assert fast == slow
+    def test_point_query(self, tree, items, point):
+        assert sorted(tree.point_query(point)) == \
+            brute(items, lambda r: r.contains_point(point))
 
     @pytest.mark.parametrize("point", POINTS)
     @pytest.mark.parametrize("k", [1, 5, 50])
-    def test_knn_bit_identical(self, tree, point, k):
-        fast = tree.knn(point, k=k)
-        slow = tree.knn(point, k=k, zero_copy=False)
-        assert len(fast) == len(slow) == min(k, len(tree))
-        # Same distances, bit for bit — the inlined MINDIST must equal
-        # Rect.min_distance_to of the degenerate query rectangle.
-        assert [d for d, _ in fast] == [d for d, _ in slow]
-        assert sorted(fast) == sorted(slow)
+    def test_knn_bit_identical(self, tree, items, point, k):
+        got = tree.knn(point, k=k)
+        qrect = Rect.from_point(point)
+        rects = {oid: rect for rect, oid in items}
+        assert len(got) == min(k, len(tree))
+        # The inlined MINDIST must equal Rect.min_distance_to of the
+        # degenerate query rectangle, bit for bit, for every result ...
+        assert all(d == rects[oid].min_distance_to(qrect) for d, oid in got)
+        # ... and the k distances are the k smallest of the scan.
+        assert [d for d, _ in got] == sorted(
+            r.min_distance_to(qrect) for r in rects.values())[:k]
 
     def test_stats_counts_pages(self, tree):
         stats = SearchStats()
         tree.search(Rect(0, 0, 1000, 1000), stats=stats)
-        assert stats.nodes_visited >= tree.node_count() > 1
-        assert stats.leaves_visited >= 1
-        assert stats.entries_tested >= len(tree)
+        nodes = list(tree._walk(tree.root_page))
+        assert stats.nodes_visited == tree.node_count() == len(nodes) > 1
+        assert stats.leaves_visited == sum(leaf for _, _, leaf, _ in nodes)
+        assert stats.entries_tested == sum(len(e) for _, _, _, e in nodes)
 
     def test_after_mutations(self, tree, tmp_path):
-        # Inserts and deletes keep the two paths agreeing: fresh nodes
-        # round-trip through serialize_node like bulk-loaded ones.
+        # Nodes written by inserts and deletes read back like bulk-loaded
+        # ones.
         path = str(tmp_path / "mut.db")
         t = DiskRTree(path, max_entries=8)
         points = list(uniform_points(150, seed=77))
-        for i, p in enumerate(points):
-            t.insert(Rect.from_point(p), i)
+        live = {i: Rect.from_point(p) for i, p in enumerate(points)}
+        for i, rect in live.items():
+            t.insert(rect, i)
         for i in range(0, 150, 7):
-            assert t.delete(Rect.from_point(points[i]), i)
+            assert t.delete(live.pop(i), i)
+        items = [(rect, i) for i, rect in live.items()]
         for window in WINDOWS:
             assert sorted(t.search(window)) == \
-                sorted(t.search(window, zero_copy=False))
+                brute(items, window.intersects)
         t.close()
 
 
