@@ -89,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 async def _serve(server) -> None:
     await server.start()
     print(f"PORT {server.port}", flush=True)
-    assert server._asyncio_server is not None
-    await server._asyncio_server.serve_forever()
+    await server.serve_forever()
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,7 @@
 
 A :class:`ShardServer` is a :class:`~repro.server.server.PsqlServer`
 over one shard's slice of a :class:`~repro.cluster.dataset.ClusterDataset`,
-extended through the ``_dispatch`` seam with the verbs the router tier
-speaks:
+whose verb table adds the verbs the router tier speaks:
 
 ``INSERT <relation> <hex(rowbytes)>``
     Primary only.  The row (gid included) travels as hex-encoded
@@ -29,13 +28,14 @@ speaks:
     replication deterministically with this instead of timers) and
     answer ``OK replay <generation> <applied_commits>``.
 
-A replica answers reads exactly like a primary but rejects ``INSERT``,
-``DELETE`` and ``REPACK`` with ``ERR ReadOnly``; with ``poll_interval``
-> 0 it also resyncs on a timer.  After each resync the fresh database is
-swapped under the query service *and* under every live connection's
-session, and its generation is set to the applied commit count — a
-monotone stamp, so result/plan caches keyed on generation can never
-serve a pre-resync answer for a post-resync database.
+A replica is read-only: it answers reads exactly like a primary but
+rejects the verbs flagged *mutating* (``INSERT``, ``DELETE``,
+``REPACK``) with ``ERR ReadOnly``; with ``poll_interval`` > 0 it also
+resyncs on a timer.  After each resync the fresh database is swapped
+under the query service *and* under every live connection's session,
+and its generation is set to the applied commit count — a monotone
+stamp, so result/plan caches keyed on generation can never serve a
+pre-resync answer for a post-resync database.
 """
 
 from __future__ import annotations
@@ -50,19 +50,62 @@ from repro.psql.result import QueryResult
 from repro.relational.catalog import Database
 from repro.relational.rowcodec import decode_row
 from repro.rtree.search import knn_search
-from repro.server.server import PsqlServer, ServerConfig, _Connection
-from repro.server.service import STORAGE_ERRORS
+from repro.server.protocol import Response, ack_reply, protocol_error
+from repro.server.server import (PsqlServer, Refusal, ServerConfig, Verb,
+                                 _Connection)
 from repro.storage import failpoints
 from repro.cluster.dataset import GID_COLUMN
 from repro.cluster.replica import LogShipper
 
-__all__ = ["FP_SHARD_COMMIT", "ShardServer"]
+__all__ = ["FP_SHARD_COMMIT", "ShardServer", "parse_delete",
+           "parse_insert", "parse_knn"]
 
 FP_SHARD_COMMIT = failpoints.declare(
     "cluster.shard.commit",
     "shard INSERT: after the durable commit, before the ack is written")
 
-_MUTATING_VERBS = ("INSERT", "DELETE", "REPACK")
+
+# -- the cluster verbs' arguments (shared with the router) --------------------
+# Each raises Refusal carrying the ERR ProtocolError to answer.
+
+
+def parse_insert(rest: str) -> tuple[str, dict]:
+    """``<relation> <hexrow>`` as ``(relation, row)``."""
+    parts = rest.split()
+    if len(parts) != 2:
+        raise Refusal(protocol_error("usage: INSERT <relation> <hexrow>"))
+    try:
+        return parts[0], decode_row(bytes.fromhex(parts[1]))
+    except (ValueError, KeyError) as exc:
+        raise Refusal(protocol_error(f"bad row payload: {exc}")) from None
+
+
+def parse_delete(rest: str) -> tuple[str, int]:
+    """``<relation> <gid>`` as ``(relation, gid)``."""
+    parts = rest.split()
+    if len(parts) != 2:
+        raise Refusal(protocol_error("usage: DELETE <relation> <gid>"))
+    try:
+        return parts[0], int(parts[1])
+    except ValueError:
+        raise Refusal(protocol_error(f"bad gid {parts[1]!r}")) from None
+
+
+def parse_knn(rest: str) -> tuple[str, str, float, float, int, str]:
+    """``<picture> <relation> <x> <y> <k> [column]`` as that tuple."""
+    parts = rest.split()
+    if len(parts) not in (5, 6):
+        raise Refusal(protocol_error(
+            "usage: KNN <picture> <relation> <x> <y> <k> [column]"))
+    try:
+        x, y, k = float(parts[2]), float(parts[3]), int(parts[4])
+    except ValueError:
+        raise Refusal(protocol_error(
+            "KNN x/y must be numbers, k an int")) from None
+    if k < 0:
+        raise Refusal(protocol_error("KNN k must be >= 0"))
+    column = parts[5] if len(parts) == 6 else "loc"
+    return parts[0], parts[1], x, y, k, column
 
 
 class ShardServer(PsqlServer):
@@ -97,6 +140,7 @@ class ShardServer(PsqlServer):
         super().__init__(config=config, db=db,
                          session_factory=session_factory)
         self.role = role
+        self.read_only = role == "replica"
         self.shard_id = shard_id
         self.shipper = shipper
         self.poll_interval = poll_interval
@@ -125,76 +169,21 @@ class ShardServer(PsqlServer):
     async def _replay_loop(self) -> None:
         while True:
             try:
-                await self._apply_replay()
-            except asyncio.CancelledError:
-                raise
+                self._install(*await asyncio.to_thread(
+                    self.shipper.apply_once))
             except Exception:  # noqa: BLE001 - keep replicating
                 self.registry.bump("cluster.replica.apply_errors")
             await asyncio.sleep(self.poll_interval)
 
-    # -- verb dispatch -------------------------------------------------------
-
-    def verbs(self) -> tuple[str, ...]:
-        extra = (("KNN", "REPLAY") if self.role == "replica"
-                 else ("INSERT", "DELETE", "KNN"))
-        return super().verbs() + extra
-
-    async def _dispatch(self, conn: _Connection, verb: str,
-                        rest: str) -> bool:
-        if self.role == "replica" and verb in _MUTATING_VERBS:
-            await self._write_error(
-                conn, "ReadOnly",
-                f"{verb} rejected: this node is a read replica; "
-                f"send writes to the primary")
-            return True
-        if verb == "INSERT":
-            await self._handle_insert(conn, rest)
-        elif verb == "DELETE":
-            await self._handle_delete(conn, rest)
-        elif verb == "KNN":
-            await self._handle_knn(conn, rest)
-        elif verb == "REPLAY":
-            await self._handle_replay(conn)
-        else:
-            return await super()._dispatch(conn, verb, rest)
-        return True
-
     # -- mutations (primary) -------------------------------------------------
 
-    async def _handle_insert(self, conn: _Connection, rest: str) -> None:
-        parts = rest.split()
-        if len(parts) != 2:
-            await self._write_error(conn, "ProtocolError",
-                                    "usage: INSERT <relation> <hexrow>")
-            return
-        relation_name, hexrow = parts
-        try:
-            row = decode_row(bytes.fromhex(hexrow))
-        except (ValueError, KeyError) as exc:
-            await self._write_error(conn, "ProtocolError",
-                                    f"bad row payload: {exc}")
-            return
+    async def _handle_insert(self, conn: _Connection, rest: str) -> Response:
+        relation_name, row = parse_insert(rest)
         if GID_COLUMN not in row:
-            await self._write_error(conn, "ProtocolError",
-                                    f"row has no {GID_COLUMN!r} column")
-            return
+            return protocol_error(f"row has no {GID_COLUMN!r} column")
         self.registry.bump("cluster.shard.inserts")
-        try:
-            inserted = await asyncio.to_thread(
-                self._do_insert, relation_name, row)
-        except (KeyError, ValueError) as exc:
-            self.registry.bump("server.errors")
-            await self._write_error(conn, type(exc).__name__,
-                                    str(exc).strip("'\""))
-            return
-        except STORAGE_ERRORS as exc:
-            conn.errors += 1
-            self.registry.bump("server.errors")
-            self.registry.bump("server.io_errors")
-            await self._write_error(conn, type(exc).__name__, str(exc))
-            return
-        await self._reply_ack(conn, "insert", self.generation,
-                              int(inserted))
+        inserted = await self._offload(self._do_insert, relation_name, row)
+        return ack_reply("insert", self.generation, int(inserted))
 
     def _do_insert(self, relation_name: str, row: dict) -> bool:
         with self._mutate_lock:
@@ -208,36 +197,11 @@ class ShardServer(PsqlServer):
                 failpoints.hit(FP_SHARD_COMMIT)
             return True
 
-    async def _handle_delete(self, conn: _Connection, rest: str) -> None:
-        parts = rest.split()
-        if len(parts) != 2:
-            await self._write_error(conn, "ProtocolError",
-                                    "usage: DELETE <relation> <gid>")
-            return
-        relation_name, gid_text = parts
-        try:
-            gid = int(gid_text)
-        except ValueError:
-            await self._write_error(conn, "ProtocolError",
-                                    f"bad gid {gid_text!r}")
-            return
+    async def _handle_delete(self, conn: _Connection, rest: str) -> Response:
+        relation_name, gid = parse_delete(rest)
         self.registry.bump("cluster.shard.deletes")
-        try:
-            deleted = await asyncio.to_thread(
-                self._do_delete, relation_name, gid)
-        except (KeyError, ValueError) as exc:
-            self.registry.bump("server.errors")
-            await self._write_error(conn, type(exc).__name__,
-                                    str(exc).strip("'\""))
-            return
-        except STORAGE_ERRORS as exc:
-            conn.errors += 1
-            self.registry.bump("server.errors")
-            self.registry.bump("server.io_errors")
-            await self._write_error(conn, type(exc).__name__, str(exc))
-            return
-        await self._reply_ack(conn, "delete", self.generation,
-                              int(deleted))
+        deleted = await self._offload(self._do_delete, relation_name, gid)
+        return ack_reply("delete", self.generation, int(deleted))
 
     def _do_delete(self, relation_name: str, gid: int) -> bool:
         with self._mutate_lock:
@@ -259,42 +223,12 @@ class ShardServer(PsqlServer):
 
     # -- KNN (both roles) ----------------------------------------------------
 
-    async def _handle_knn(self, conn: _Connection, rest: str) -> None:
-        parts = rest.split()
-        if len(parts) not in (5, 6):
-            await self._write_error(
-                conn, "ProtocolError",
-                "usage: KNN <picture> <relation> <x> <y> <k> [column]")
-            return
-        picture, relation_name = parts[0], parts[1]
-        column = parts[5] if len(parts) == 6 else "loc"
-        try:
-            x, y, k = float(parts[2]), float(parts[3]), int(parts[4])
-        except ValueError:
-            await self._write_error(conn, "ProtocolError",
-                                    "KNN x/y must be numbers, k an int")
-            return
-        if k < 0:
-            await self._write_error(conn, "ProtocolError",
-                                    "KNN k must be >= 0")
-            return
+    async def _handle_knn(self, conn: _Connection, rest: str) -> Response:
+        args = parse_knn(rest)
         self.registry.bump("cluster.shard.knn")
-        try:
-            rows = await asyncio.to_thread(
-                self._do_knn, picture, relation_name, x, y, k, column)
-        except (KeyError, ValueError) as exc:
-            self.registry.bump("server.errors")
-            await self._write_error(conn, type(exc).__name__,
-                                    str(exc).strip("'\""))
-            return
-        except STORAGE_ERRORS as exc:
-            conn.errors += 1
-            self.registry.bump("server.errors")
-            self.registry.bump("server.io_errors")
-            await self._write_error(conn, type(exc).__name__, str(exc))
-            return
-        await self._reply_fresh(
-            conn, QueryResult(columns=("distance", "gid"), rows=rows))
+        rows = await self._offload(self._do_knn, *args)
+        return self._fresh(conn, QueryResult(columns=("distance", "gid"),
+                                             rows=rows))
 
     def _do_knn(self, picture: str, relation_name: str, x: float,
                 y: float, k: int, column: str) -> list[tuple[float, int]]:
@@ -309,36 +243,34 @@ class ShardServer(PsqlServer):
 
     # -- replication (replica) ----------------------------------------------
 
-    async def _handle_replay(self, conn: _Connection) -> None:
+    async def _handle_replay(self, conn: _Connection, rest: str) -> Response:
         if self.role != "replica":
-            await self._write_error(
-                conn, "ProtocolError",
-                "REPLAY is only valid on a read replica")
-            return
-        try:
-            commits = await self._apply_replay()
-        except STORAGE_ERRORS as exc:
-            conn.errors += 1
-            self.registry.bump("server.errors")
-            self.registry.bump("server.io_errors")
-            await self._write_error(conn, type(exc).__name__, str(exc))
-            return
-        await self._reply_ack(conn, "replay", self.generation, commits)
+            return protocol_error("REPLAY is only valid on a read replica")
+        commits = self._install(*await self._offload(self.shipper.apply_once))
+        return ack_reply("replay", self.generation, commits)
 
-    async def _apply_replay(self) -> int:
-        assert self.shipper is not None
-        db, commits = await asyncio.to_thread(self.shipper.apply_once)
+    def _install(self, db: Database, commits: int) -> int:
+        """Swap a resynced database in under every session; returns
+        *commits*, the applied commit count it reflects."""
         # Stamp the fresh database with the commit count it reflects:
         # monotone across resyncs, so generation-keyed result and plan
         # caches can never alias a pre-resync answer onto it.
         db._generation = commits
         self.service.db = db
-        for live in self._connections.values():
+        for live in self._connections:
             live.session.db = db
             live.session._plans.clear()
         self._gid_maps.clear()
         self.registry.bump("cluster.replica.replays")
         return commits
+
+    VERBS = {
+        **PsqlServer.VERBS,
+        "INSERT": Verb(_handle_insert, mutating=True),
+        "DELETE": Verb(_handle_delete, mutating=True),
+        "KNN": Verb(_handle_knn),
+        "REPLAY": Verb(_handle_replay),
+    }
 
     # -- metrics -------------------------------------------------------------
 

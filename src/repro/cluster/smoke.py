@@ -4,8 +4,9 @@ Starts an in-process cluster — 2 primary shards with durable heaps +
 1 log-shipped read replica each + the scatter-gather router — and runs
 a 500-query equivalence sweep against a single-server oracle built from
 the same dataset, with inserts/deletes and replica replays mixed in.
-Exits non-zero on the first divergence.  CI runs this as the
-``cluster-smoke`` job.
+Exits non-zero on the first divergence.  ``--binary`` runs the same
+sweep over a client that negotiated the binary protocol with the
+router.  CI runs both as the ``cluster-smoke`` job.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.geometry.point import Point
 from repro.psql.executor import Session
 from repro.rtree.search import knn_search
 from repro.server import protocol
+from repro.cluster.client import ClusterClient
 from repro.cluster.dataset import GID_COLUMN, build_database
 from repro.cluster.demo import demo_dataset
 from repro.cluster.launcher import LocalCluster
@@ -45,7 +47,7 @@ def oracle_knn(db, picture: str, relation: str, x: float, y: float,
                   for d, rid in hits)[:k]
 
 
-def main() -> int:
+def main(binary: bool = False) -> int:
     rng = random.Random(SEED)
     dataset = demo_dataset()
     oracle_db = build_database(dataset)
@@ -54,7 +56,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cluster-smoke-") as tmp, \
             LocalCluster(dataset, nshards=2, replicas_per_shard=1,
                          data_root=tmp) as cluster:
-        client = cluster.client()
+        client = ClusterClient(cluster.router_host, cluster.router_port,
+                               binary=binary)
+        if client.binary != binary:
+            failures += 1
+            print("MISMATCH: the router did not acknowledge HELLO bin",
+                  file=sys.stderr)
         queries = random_queries(rng, dataset.universe, N_QUERIES)
         mutate_at = set(rng.sample(range(N_QUERIES), N_MUTATIONS))
         inserted_gids: list[int] = []
@@ -109,8 +116,9 @@ def main() -> int:
                       f"  routed {got_knn}\n  oracle {want_knn}",
                       file=sys.stderr)
         stats = client.stats()
-        print(f"cluster-smoke: {N_QUERIES} queries + {N_KNN} kNN + "
-              f"{N_MUTATIONS} mutations, "
+        mode = "binary" if binary else "text"
+        print(f"cluster-smoke ({mode}): {N_QUERIES} queries + "
+              f"{N_KNN} kNN + {N_MUTATIONS} mutations, "
               f"replica reads={stats.get('router.reads.replica', 0):.0f}, "
               f"cache hit rate="
               f"{stats.get('router.cache.hit_rate', 0):.2f}, "
@@ -120,4 +128,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(binary="--binary" in sys.argv[1:]))

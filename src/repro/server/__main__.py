@@ -60,8 +60,7 @@ def main(argv: list[str] | None = None) -> int:
               f"({config.workers} {config.executor} workers, "
               f"max {config.effective_max_inflight()} in flight)",
               flush=True)
-        assert server._asyncio_server is not None
-        await server._asyncio_server.serve_forever()
+        await server.serve_forever()
 
     try:
         asyncio.run(run())

@@ -69,10 +69,11 @@ close, because the stream position itself can no longer be trusted.
 from __future__ import annotations
 
 import struct
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from repro.psql.result import QueryResult
-from repro.server.protocol import ProtocolError, Response, format_value
+from repro.server.protocol import (ProtocolError, Response, format_value,
+                                   parse_request)
 
 __all__ = [
     "MAX_FRAME",
@@ -85,11 +86,12 @@ __all__ = [
     "encode_prepare",
     "encode_query",
     "encode_result_body",
+    "encode_reply",
     "encode_simple",
-    "encode_string_rows_body",
     "frame",
     "frame_prefix",
     "ok_header",
+    "parse_request_body",
     "parse_response_body",
     "response_ack",
     "response_busy",
@@ -271,6 +273,34 @@ def decode_execute(payload: bytes) -> tuple[int, tuple[str, ...]]:
     return statement_id, tuple(params)
 
 
+#: Opcodes whose payload is their verb's text argument.
+_TEXT_OPCODES = {OP_QUERY: "QUERY", OP_PREPARE: "PREPARE",
+                 OP_STATS: "STATS", OP_PING: "PING", OP_QUIT: "QUIT"}
+
+
+def parse_request_body(body: bytes) -> Optional[tuple[str, Any]]:
+    """Decode a request body into the request shape the text codec's
+    :func:`~repro.server.protocol.parse_request` yields,
+    ``(verb, args)``; None for an ``OP_COMMAND`` holding a blank line,
+    which, like a blank text line, asks for nothing.
+
+    Raises:
+        ProtocolError: on an unknown opcode or a malformed payload.
+        UnicodeDecodeError: on a text payload that is not UTF-8.
+    """
+    opcode, payload = decode_request(body)
+    if opcode == OP_EXECUTE:
+        return "EXECUTE", decode_execute(payload)
+    verb = _TEXT_OPCODES.get(opcode)
+    if verb is None and opcode != OP_COMMAND:
+        raise ProtocolError(f"unknown opcode {opcode}")
+    text = payload.decode("utf-8")
+    if verb is not None:
+        return verb, text
+    text = text.strip()
+    return parse_request(text) if text else None
+
+
 # -- the result body ----------------------------------------------------------
 
 
@@ -287,17 +317,6 @@ def encode_result_body(result: QueryResult) -> bytes:
     parts.append(_U32.pack(len(result.rows)))
     for row in result.rows:
         parts.extend(_pack_str(format_value(v)) for v in row)
-    return b"".join(parts)
-
-
-def encode_string_rows_body(columns: tuple[str, ...],
-                            rows: list[tuple[Any, ...]]) -> bytes:
-    """A result body from already-formatted string rows (router merges)."""
-    parts = [_U16.pack(len(columns))]
-    parts.extend(_pack_str(c) for c in columns)
-    parts.append(_U32.pack(len(rows)))
-    for row in rows:
-        parts.extend(_pack_str(str(v)) for v in row)
     return b"".join(parts)
 
 
@@ -387,6 +406,44 @@ def response_stats(stats: dict[str, Union[int, float]]) -> bytes:
         else:
             parts.append(b"\x00" + _STAT_VALUE.pack(float(value)))
     return b"".join([_U32.pack(sum(len(p) for p in parts))] + parts)
+
+
+def encode_reply(reply: Response) -> bytes:
+    """One framed server reply: the inverse of :func:`parse_response_body`.
+
+    A STATS reply carries ``server.generation`` when its generation is
+    known (>= 0); a ``prepare`` ack is an ``ST_PREPARED`` frame taking
+    the statement id from ``nrows`` and the placeholder count from
+    ``stats["statement.nparams"]``.
+    """
+    status = reply.status
+    if status == "ok":
+        disposition = reply.disposition
+        if disposition == "stats":
+            stats = reply.stats
+            if reply.generation >= 0:
+                stats = {**stats, "server.generation": int(reply.generation)}
+            return response_stats(stats)
+        if disposition == "prepare":
+            return response_prepared(reply.generation, reply.nrows,
+                                     reply.stats["statement.nparams"])
+        header = ok_header(disposition, reply.generation, reply.nrows)
+        if reply.body is None:
+            return frame(header)
+        body = reply.body.binary()
+        return b"".join((frame_prefix(len(header) + len(body)), header,
+                         body))
+    if status == "error":
+        return response_error(reply.error_kind, reply.error_message)
+    if status == "busy":
+        return response_busy(reply.error_message)
+    if status == "timeout":
+        return response_timeout(reply.error_message)
+    if status == "pong":
+        return response_pong()
+    if status == "bye":
+        return response_bye()
+    raise ValueError(f"no binary encoding for reply status {status!r}")
 
 
 def parse_response_body(body: bytes) -> Response:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional
+from typing import Any, Optional
 
 from repro.psql.result import QueryResult
 from repro.server import binproto, protocol
@@ -41,14 +41,22 @@ class CachedResult:
     byte-identical to one rendered from the ``QueryResult`` itself.
     """
 
-    __slots__ = ("payload", "nrows", "generation", "bbody")
+    __slots__ = ("payload", "nrows", "bbody")
 
     def __init__(self, payload: tuple[str, ...], nrows: int,
-                 generation: int, bbody: bytes = b""):
+                 bbody: bytes = b""):
         self.payload = payload
         self.nrows = nrows
-        self.generation = generation
         self.bbody = bbody
+
+    @classmethod
+    def render(cls, result: QueryResult, binary: bool) -> "CachedResult":
+        """*result* rendered in one codec only, the one a *binary* or a
+        text connection reads; the other is derived if ever asked for."""
+        if binary:
+            return cls((), len(result.rows),
+                       binproto.encode_result_body(result))
+        return cls(tuple(protocol.encode_result(result)), len(result.rows))
 
     def text(self) -> tuple[str, ...]:
         """The ``COLS``/``ROW``*/``END`` lines."""
@@ -107,20 +115,28 @@ class QueryCache:
 
     def put(self, normalized: str, generation: int,
             payload: tuple[str, ...], nrows: int,
-            bbody: bytes = b"") -> None:
-        """Store an encoded result (evicting the LRU entry when full).
+            bbody: bytes = b"") -> CachedResult:
+        """Store an encoded result (evicting the LRU entry when full);
+        returns the entry.
 
         *payload* or *bbody* may be empty: one rendering is enough."""
+        return self.store(normalized, generation,
+                          CachedResult(payload, nrows, bbody))
+
+    def store(self, normalized: str, generation: Any,
+              entry: CachedResult) -> CachedResult:
+        """Store *entry* under ``(normalized, generation)``; returns it
+        (also when the cache is disabled)."""
         if self.capacity == 0:
-            return
+            return entry
         with self._lock:
             key = (normalized, generation)
-            self._entries[key] = CachedResult(payload, nrows, generation,
-                                              bbody)
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+        return entry
 
     def drop_stale(self, current_generation: int) -> int:
         """Proactively drop entries older than *current_generation*.
@@ -129,8 +145,8 @@ class QueryCache:
         anyway.  Returns how many entries were dropped.
         """
         with self._lock:
-            stale = [k for k, v in self._entries.items()
-                     if v.generation < current_generation]
+            stale = [k for k in self._entries
+                     if k[1] < current_generation]
             for k in stale:
                 del self._entries[k]
             self.invalidated += len(stale)

@@ -42,7 +42,17 @@ __all__ = ["Client", "ClientStatement"]
 
 #: What ends every text response: a frame that is exactly ``END``.
 #: Newlines inside cells travel escaped, so the first match is the end.
-_TEXT_END = b"\n" + protocol.END.encode("ascii") + b"\n"
+TEXT_END = b"\n" + protocol.END.encode("ascii") + b"\n"
+
+#: Binary request frames, from a text line's argument, for the verbs
+#: with an opcode of their own; the others travel as ``OP_COMMAND``.
+_OPCODE_FRAMES = {
+    "QUERY": binproto.encode_query,
+    "PREPARE": binproto.encode_prepare,
+    "STATS": lambda _rest: binproto.encode_simple(binproto.OP_STATS),
+    "PING": lambda _rest: binproto.encode_simple(binproto.OP_PING),
+    "QUIT": lambda _rest: binproto.encode_simple(binproto.OP_QUIT),
+}
 
 
 class ClientStatement:
@@ -94,14 +104,8 @@ class Client:
         #: True once the binary protocol is live on this connection.
         self.binary = False
         if binary:
-            self._negotiate_binary()
-
-    def _negotiate_binary(self) -> None:
-        self._send_line("HELLO bin")
-        response = self._read_text_response()
-        if response.ok:
-            self.binary = True
-        # An ERR means a pre-HELLO server: keep talking text.
+            # An ERR means a pre-HELLO server: keep talking text.
+            self.binary = self._roundtrip("HELLO bin").ok
 
     # -- commands -----------------------------------------------------------
 
@@ -112,10 +116,7 @@ class Client:
         *text* are replaced with spaces — whitespace is insignificant
         to PSQL.
         """
-        one_line = " ".join(text.splitlines())
-        if self.binary:
-            return self._binary_roundtrip(binproto.encode_query(one_line))
-        return self._roundtrip(f"QUERY {one_line}")
+        return self._roundtrip("QUERY " + " ".join(text.splitlines()))
 
     def explain(self, text: str, analyze: bool = False) -> Response:
         """Fetch the query plan (``EXPLAIN``) as a one-column result.
@@ -126,7 +127,7 @@ class Client:
         """
         one_line = " ".join(text.splitlines())
         prefix = "ANALYZE " if analyze else ""
-        return self._command(f"EXPLAIN {prefix}{one_line}")
+        return self._roundtrip(f"EXPLAIN {prefix}{one_line}")
 
     def prepare(self, template: str) -> ClientStatement:
         """Prepare a ``?``-placeholder query template (``PREPARE``).
@@ -137,12 +138,7 @@ class Client:
             ServerError: when the server rejects the template.
         """
         one_line = " ".join(template.splitlines())
-        if self.binary:
-            response = self._binary_roundtrip(
-                binproto.encode_prepare(one_line))
-        else:
-            response = self._roundtrip(f"PREPARE {one_line}")
-        response.raise_for_status()
+        response = self._roundtrip(f"PREPARE {one_line}").raise_for_status()
         # Text acks carry the id in the count field; the placeholder
         # count is recomputed locally (the splitter is shared code).
         nparams = int(response.stats.get("statement.nparams", -1))
@@ -155,18 +151,13 @@ class Client:
                 params: Sequence[str] = ()) -> Response:
         """Execute a prepared statement with *params* (``EXECUTE``)."""
         params = tuple(params)
-        if isinstance(statement, ClientStatement):
-            statement_id = statement.statement_id
-            if self.binary:
-                return self._binary_roundtrip(statement._frame(params))
-        else:
-            statement_id = int(statement)
+        if not isinstance(statement, ClientStatement):
+            statement = ClientStatement(int(statement), "", len(params))
         if self.binary:
-            return self._binary_roundtrip(
-                binproto.encode_execute(statement_id, params))
-        rendered = "\t".join(protocol.escape(p) for p in params)
-        command = (f"EXECUTE {statement_id} {rendered}"
-                   if params else f"EXECUTE {statement_id}")
+            return self._exchange(statement._frame(params))
+        command = f"EXECUTE {statement.statement_id}"
+        if params:
+            command += " " + "\t".join(protocol.escape(p) for p in params)
         return self._roundtrip(command)
 
     def repack(self, picture: str, relation: str,
@@ -177,7 +168,7 @@ class Client:
         generation and ``response.nrows`` the rebuilt index's entry
         count.  Blocks until the rebuild (and its atomic swap) is done.
         """
-        return self._command(f"REPACK {picture} {relation} {column}")
+        return self._roundtrip(f"REPACK {picture} {relation} {column}")
 
     def maintain(self, action: str = "status") -> Response:
         """Control or inspect the background repack daemon (``MAINTAIN``).
@@ -187,7 +178,7 @@ class Client:
         (one synchronous maintenance cycle) return one report line per
         response row.
         """
-        return self._command(f"MAINTAIN {action}")
+        return self._roundtrip(f"MAINTAIN {action}")
 
     def advise(self, top: Optional[int] = None) -> Response:
         """Workload analysis and tuning recommendations (``ADVISE``).
@@ -198,8 +189,7 @@ class Client:
         *top* bounds how many fingerprints are analysed (server default
         when omitted).
         """
-        command = "ADVISE" if top is None else f"ADVISE {top}"
-        return self._command(command)
+        return self._roundtrip("ADVISE" if top is None else f"ADVISE {top}")
 
     def health(self) -> Response:
         """Graded OK/WARN/FAIL health checks (``HEALTH``).
@@ -207,36 +197,22 @@ class Client:
         Each response row is one report line; the first summarises the
         worst status.
         """
-        return self._command("HEALTH")
+        return self._roundtrip("HEALTH")
 
     def stats(self) -> dict[str, float]:
         """The server's metrics snapshot (the ``STATS`` command)."""
-        if self.binary:
-            return self._binary_roundtrip(
-                binproto.encode_simple(binproto.OP_STATS)).stats
         return self._roundtrip("STATS").stats
 
     def ping(self) -> bool:
         """Liveness check; True when the server answers ``PONG``."""
-        if self.binary:
-            response = self._binary_roundtrip(
-                binproto.encode_simple(binproto.OP_PING))
-        else:
-            response = self._roundtrip("PING")
-        return response.status == "pong"
+        return self._roundtrip("PING").status == "pong"
 
     def close(self) -> None:
         """Say QUIT (best effort) and close the socket (idempotent)."""
         if self._sock is None:
             return
         try:
-            if self.binary:
-                self._send_bytes(
-                    binproto.encode_simple(binproto.OP_QUIT))
-                self._read_binary_response()
-            else:
-                self._send_line("QUIT")
-                self._read_text_response()
+            self._roundtrip("QUIT")
         except (OSError, ProtocolError):
             pass
         try:
@@ -247,27 +223,25 @@ class Client:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _command(self, command: str) -> Response:
-        """One full text-protocol command line, over either framing."""
-        if self.binary:
-            return self._binary_roundtrip(binproto.encode_command(command))
-        return self._roundtrip(command)
+    def _roundtrip(self, line: str) -> Response:
+        """One text-protocol command line, sent in this connection's
+        codec: as itself, or as its verb's binary frame."""
+        if not self.binary:
+            return self._exchange(line.encode("utf-8") + b"\n")
+        verb, _, rest = line.partition(" ")
+        encode = _OPCODE_FRAMES.get(verb)
+        return self._exchange(encode(rest) if encode is not None
+                              else binproto.encode_command(line))
 
-    def _roundtrip(self, command: str) -> Response:
-        self._send_line(command)
-        return self._read_text_response()
-
-    def _binary_roundtrip(self, request: bytes) -> Response:
-        self._send_bytes(request)
-        return self._read_binary_response()
-
-    def _send_line(self, line: str) -> None:
-        self._send_bytes(line.encode("utf-8") + b"\n")
-
-    def _send_bytes(self, data: bytes) -> None:
+    def _exchange(self, request: bytes) -> Response:
+        """The one send path: write one encoded request, then read its
+        reply in this connection's codec."""
         if self._sock is None:
             raise ProtocolError("client is closed")
-        self._sock.sendall(data)
+        self._sock.sendall(request)
+        if self.binary:
+            return self._read_binary_response()
+        return self._read_text_response()
 
     def _receive(self, closed: str) -> None:
         """Append whatever the socket has to the input buffer."""
@@ -280,11 +254,11 @@ class Client:
         """Read up to the ``END`` frame, then decode and split once."""
         buf = self._inbuf
         searched = 0
-        while (end := buf.find(_TEXT_END, searched)) < 0:
-            searched = max(len(buf) - len(_TEXT_END) + 1, 0)
+        while (end := buf.find(TEXT_END, searched)) < 0:
+            searched = max(len(buf) - len(TEXT_END) + 1, 0)
             self._receive("connection closed mid-response" if buf
                           else "connection closed by server")
-        end += len(_TEXT_END)
+        end += len(TEXT_END)
         raw = bytes(buf[:end])
         del buf[:end]
         # Only "\n" separates frames (str.splitlines() would also split

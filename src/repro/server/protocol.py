@@ -8,9 +8,14 @@ frame.  Requests are single lines::
     QUERY select city from cities on us-map at loc covered-by {4+-4, 11+-9}
     EXPLAIN ANALYZE select city from cities where population > 1000000
     REPACK us-map cities loc
+    EXECUTE 1 400+-150\\t300+-150
     STATS
     PING
     QUIT
+
+:func:`parse_request` decodes a line into the request shape both codecs
+share, ``(verb, args)``; :func:`encode_reply` renders a server's typed
+reply (a :class:`Response`) as frames.
 
 ``EXPLAIN [ANALYZE] <query>`` rides the QUERY pipeline end to end: the
 plan comes back as an ordinary result with a single ``plan`` column,
@@ -60,9 +65,6 @@ TIMEOUT = "TIMEOUT"
 PONG = "PONG"
 BYE = "BYE"
 END = "END"
-
-#: Terminal tags a client may see instead of a normal OK response.
-_TERMINAL = frozenset({ERR, BUSY, TIMEOUT})
 
 
 def escape(text: str) -> str:
@@ -239,6 +241,13 @@ class Response:
     #: STAT name/value pairs; integer-rendered counters parse back to
     #: ``int``, everything else to ``float``
     stats: dict[str, Any] = field(default_factory=dict)
+    #: server side: an OK reply's header disposition ("fresh",
+    #: "cached", "repack", ...), or "stats" for a STATS snapshot
+    disposition: str = ""
+    #: server side: the result an OK reply carries, an object whose
+    #: ``text()`` / ``binary()`` render it per codec
+    #: (:class:`~repro.server.cache.CachedResult`)
+    body: Any = None
 
     @property
     def ok(self) -> bool:
@@ -269,6 +278,38 @@ class ServerTimeoutError(ServerError):
 
 class ProtocolError(Exception):
     """The byte stream violated the framing rules."""
+
+
+class FramingError(ProtocolError):
+    """A request's extent is lost, so the stream position cannot be
+    trusted: the server answers once and closes the connection."""
+
+
+def parse_request(line: str) -> tuple[str, Any]:
+    """Decode one stripped request line into ``(verb, args)``.
+
+    *args* is the rest of the line, except for ``EXECUTE``, whose
+    ``<id> <tab-separated escaped params>`` decode here to
+    ``(statement_id, params)`` — the shape a binary ``OP_EXECUTE``
+    frame decodes to.  (The line framing strips trailing whitespace, so
+    a *trailing* empty parameter needs the binary protocol.)
+
+    Raises:
+        ProtocolError: on a malformed ``EXECUTE``.
+    """
+    verb, _, rest = line.partition(" ")
+    verb = verb.upper()
+    if verb != "EXECUTE":
+        return verb, rest
+    head, _, params_text = rest.partition(" ")
+    try:
+        statement_id = int(head)
+    except ValueError:
+        raise ProtocolError(
+            "usage: EXECUTE <statement-id> [params]") from None
+    params = (tuple(unescape(p) for p in params_text.split("\t"))
+              if params_text else ())
+    return verb, (statement_id, params)
 
 
 def parse_response(lines: list[str],
@@ -369,3 +410,60 @@ def encode_stats(stats: dict[str, float],
         lines.append(f"{STAT} {escape(name)} {rendered}")
     lines.append(END)
     return lines
+
+
+# -- server replies -----------------------------------------------------------
+
+
+def error_reply(kind: str, message: str) -> Response:
+    """An ``ERR <kind> <message>`` reply."""
+    return Response("error", error_kind=kind, error_message=message)
+
+
+def protocol_error(message: str) -> Response:
+    """An ``ERR ProtocolError`` reply: a request the protocol rejects."""
+    return error_reply("ProtocolError", message)
+
+
+def ack_reply(disposition: str, generation: int, count: int) -> Response:
+    """A body-less ``OK`` reply (the REPACK/INSERT/HELLO/... acks)."""
+    return Response("ok", generation=generation, nrows=count,
+                    disposition=disposition)
+
+
+def result_reply(disposition: str, generation: int, body: Any) -> Response:
+    """An ``OK fresh|cached`` reply carrying *body*, a
+    :class:`~repro.server.cache.CachedResult`."""
+    return Response("ok", generation=generation, nrows=body.nrows,
+                    disposition=disposition, body=body)
+
+
+def encode_reply(reply: Response) -> bytes:
+    """A server reply as text frames: the inverse of
+    :func:`parse_response`.  A STATS reply names ``server.generation``
+    first when its generation is known (>= 0)."""
+    status = reply.status
+    if status == "ok":
+        if reply.disposition == "stats":
+            lines = encode_stats(
+                reply.stats,
+                reply.generation if reply.generation >= 0 else None)
+        else:
+            head = (f"{OK} {reply.disposition} {reply.generation} "
+                    f"{reply.nrows}")
+            lines = [head, *(reply.body.text() if reply.body is not None
+                             else (END,))]
+    elif status == "error":
+        lines = [f"{ERR} {reply.error_kind} "
+                 f"{escape(reply.error_message)}", END]
+    elif status == "busy":
+        lines = [f"{BUSY} {escape(reply.error_message)}", END]
+    elif status == "timeout":
+        lines = [f"{TIMEOUT} {escape(reply.error_message)}", END]
+    elif status == "pong":
+        lines = [PONG, END]
+    elif status == "bye":
+        lines = [BYE, END]
+    else:
+        raise ValueError(f"no text encoding for reply status {status!r}")
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -1,11 +1,37 @@
-"""The asyncio PSQL query server.
+"""The asyncio PSQL query server, and the protocol core it shares.
+
+Every endpoint — this server, the cluster's shard servers and its
+router — runs one request path, :class:`ProtocolServer`:
+
+1. **Edge decode.**  A text line (:func:`protocol.parse_request`) or,
+   after ``HELLO bin``, a binary frame
+   (:func:`binproto.parse_request_body`) becomes one request
+   ``(verb, args)``.  ``EXECUTE`` args are ``(statement_id, params)``
+   whichever codec carried them.
+2. **Verb table.**  :attr:`ProtocolServer.VERBS` maps each verb to its
+   handler and a *mutating* flag.  A read-only node answers mutating
+   verbs ``ERR ReadOnly``; an unknown verb's ``ERR`` lists the table.
+3. **Typed reply.**  A handler returns one :class:`protocol.Response`:
+   result, ack, prepared, error, busy, timeout, pong, bye or stats.
+4. **Edge encode.**  :meth:`ProtocolServer.send` renders it in the
+   connection's codec (:func:`protocol.encode_reply` /
+   :func:`binproto.encode_reply`).
+
+Framing errors are handled once, at the edges.  A malformed request
+*body* (bad ``EXECUTE`` parameters, an unknown opcode, a truncated
+struct, bad UTF-8) is answered ``ERR ProtocolError`` and the connection
+carries on: the request's extent was known, so the stream stays in
+sync.  A request whose extent is lost — a binary length prefix of zero
+or beyond ``binproto.MAX_FRAME``, or a text line longer than the
+reader's 64 KiB limit — is answered the same way and the connection
+closes, because the stream position can no longer be trusted.
 
 One event loop owns all connection framing, the admission gate, the
 result cache and the metrics registry; CPU work happens on the
 :class:`~repro.server.service.QueryService` pool.  The control flow for
-one ``QUERY`` line:
+one ``QUERY``:
 
-1. normalise the text (a lexer error becomes an ``ERR`` frame, nothing
+1. normalise the text (a lexer error becomes an ``ERR`` reply, nothing
    is submitted);
 2. consult the LRU cache under ``(normalized, generation)`` — a hit is
    streamed back without touching the pool;
@@ -19,10 +45,10 @@ one ``QUERY`` line:
 5. stream the framed result, cache it, and fold the worker's isolated
    observability snapshot into the server-wide registry.
 
-Every response is ``END``-terminated, so one bad query never
-desynchronises or kills a connection.  Shutdown is graceful: the
-listener closes first, in-flight queries drain (bounded by
-``drain_timeout``), then connections are torn down.
+Every response is ``END``-terminated (text) or length-prefixed
+(binary), so one bad query never desynchronises or kills a connection.
+Shutdown is graceful: the listener closes first, in-flight queries
+drain (bounded by ``drain_timeout``), then connections are torn down.
 """
 
 from __future__ import annotations
@@ -30,21 +56,29 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Awaitable, Callable, Optional
 
+from repro import obs
 from repro.psql.errors import PsqlError
 from repro.psql.executor import Session
 from repro.psql.normalize import normalize_query
-from repro.psql.prepare import PreparedStatement
 from repro.psql.result import QueryResult
 from repro.relational.catalog import Database
 from repro.server import binproto, protocol
-from repro.server.cache import QueryCache
+from repro.server.cache import CachedResult, QueryCache
+from repro.server.protocol import (Response, ack_reply, error_reply,
+                                   protocol_error, result_reply)
 from repro.server.service import STORAGE_ERRORS, QueryService
-from repro import obs
 
-__all__ = ["PsqlServer", "ServerConfig"]
+__all__ = ["ProtocolServer", "PsqlServer", "Refusal", "ServerConfig",
+           "Verb", "read_frame"]
+
+#: The longest request line the text edge frames (asyncio's
+#: ``StreamReader`` limit); longer ones are a framing error.
+LINE_LIMIT = 64 * 1024
+
+_SHUTTING_DOWN = error_reply("ServerError", "server is shutting down")
 
 
 @dataclass
@@ -69,67 +103,104 @@ class ServerConfig:
             else 2 * self.workers
 
 
-@dataclass
+@dataclass(frozen=True)
+class Verb:
+    """One verb-table entry."""
+
+    #: ``async handler(endpoint, conn, args) -> Response``
+    handler: Callable[..., Awaitable[Response]]
+    #: the verb writes data, so a read-only node refuses it
+    mutating: bool = False
+
+
+class Refusal(Exception):
+    """Raised inside a handler to answer with its one argument, a
+    :class:`~repro.server.protocol.Response`, instead."""
+
+
+@dataclass(eq=False)
 class _Connection:
-    """Per-connection state the session manager tracks."""
+    """Per-connection state."""
 
-    session_id: int
-    peer: str
-    session: Session
     writer: asyncio.StreamWriter
-    queries: int = 0
-    errors: int = 0
-    opened_at: float = field(default_factory=time.monotonic)
-    #: negotiated the binary protocol via ``HELLO bin``
+    session: Optional[Session] = None
+    #: the codec requests and replies use now
     binary: bool = False
-    #: prepared statements by id (shared objects with the session)
-    prepared: dict[int, PreparedStatement] = field(default_factory=dict)
+    #: ``HELLO bin`` was accepted: binary from the byte after its ack
+    hello_bin: bool = False
 
 
-class PsqlServer:
-    """A concurrent PSQL query server over one pictorial database.
+async def read_frame(reader: asyncio.StreamReader) -> bytes:
+    """The body of the next length-prefixed binary frame.
 
-    Args:
-        config: server parameters.
-        db: the database to serve; omit to build one from
-            ``config.factory_spec`` (required anyway for process mode).
-        session_factory: per-connection session builder (thread mode),
-            e.g. to pre-register application pictorial functions.
+    Raises:
+        asyncio.IncompleteReadError: at end of stream.
+        protocol.FramingError: on an implausible length prefix.
+    """
+    length = int.from_bytes(await reader.readexactly(4), "little")
+    if length == 0 or length > binproto.MAX_FRAME:
+        raise protocol.FramingError(
+            f"implausible frame length {length}; closing")
+    return await reader.readexactly(length)
 
-    Use :meth:`serve_forever` from ``asyncio.run`` (the CLI does), or
+
+async def _next_request(reader: asyncio.StreamReader, binary: bool,
+                        ) -> Optional[tuple[str, Any]]:
+    """Edge decode: the next request, a line or (*binary*) a frame, as
+    ``(verb, args)``; blank requests are skipped.  None at EOF.
+
+    Raises:
+        protocol.ProtocolError, UnicodeDecodeError: on a malformed
+            request; a :class:`~repro.server.protocol.FramingError` when
+            its extent is lost too.
+    """
+    while True:
+        if binary:
+            try:
+                body = await read_frame(reader)
+            except asyncio.IncompleteReadError:
+                return None
+            request = binproto.parse_request_body(body)
+        else:
+            try:
+                line = await reader.readline()
+            except ValueError:      # no newline within the reader's limit
+                raise protocol.FramingError(
+                    f"request line longer than {LINE_LIMIT} bytes; "
+                    f"closing") from None
+            if not line:
+                return None
+            text = line.decode("utf-8", errors="replace").strip()
+            request = protocol.parse_request(text) if text else None
+        if request is not None:
+            return request
+
+
+class ProtocolServer:
+    """One listening endpoint: the connection loop, the codec edges,
+    the verb table and the lifecycle.
+
+    Subclasses set ``self.config`` (``host``, ``port``,
+    ``drain_timeout``) before calling ``__init__`` and extend
+    :attr:`VERBS`.  Run one with :meth:`start` and then
+    :meth:`serve_forever` inside ``asyncio.run`` (the CLIs do), or
     :meth:`start_background` to run the whole loop on a daemon thread —
-    which is how the tests and the throughput benchmark embed it.
+    which is how the tests and benchmarks embed it.
     """
 
-    def __init__(self, config: Optional[ServerConfig] = None,
-                 db: Optional[Database] = None,
-                 session_factory=None):
-        self.config = config or ServerConfig()
-        self.service = QueryService(
-            db=db, workers=self.config.workers,
-            executor=self.config.executor,
-            factory_spec=self.config.factory_spec,
-            session_factory=session_factory,
-            capture=self.config.capture)
-        self.cache = QueryCache(capacity=self.config.cache_size)
+    #: prefix of the session and framing-error counters
+    metric_prefix = "server"
+    #: answer mutating verbs with ``ERR ReadOnly``
+    read_only = False
+
+    def __init__(self) -> None:
         self.registry = obs.Registry()
         self.port: Optional[int] = None
         self._asyncio_server: Optional[asyncio.base_events.Server] = None
-        self._connections: dict[int, _Connection] = {}
-        self._next_session_id = 1
+        self._connections: set[_Connection] = set()
         self._inflight = 0
         self._active_responses = 0
         self._draining = False
-        # Background repack daemon (thread-executor servers only; the
-        # process pool's workers hold their own catalog copies).
-        self.scheduler = None
-        if self.config.executor == "thread":
-            from repro.server.scheduler import MaintenanceScheduler
-            self.scheduler = MaintenanceScheduler(
-                self.service.db,
-                interval=self.config.maintenance_interval,
-                enabled=self.config.maintenance,
-                on_cycle=self._after_maintenance_cycle)
         self._started_at = time.monotonic()
         # Background-thread plumbing (start_background/stop_background).
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -138,35 +209,34 @@ class PsqlServer:
         self._thread_ready = threading.Event()
         self._thread_error: Optional[BaseException] = None
 
+    #: the data generation reply headers carry
+    generation = 0
+
+    def _make_session(self) -> Optional[Session]:
+        """The per-connection PSQL session (none by default)."""
+        return None
+
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and warm the worker pool."""
-        self.service.start()
-        if self.scheduler is not None:
-            self.scheduler.start()
+        """Bind the listener."""
         self._started_at = time.monotonic()
         self._asyncio_server = await asyncio.start_server(
             self._handle_connection, host=self.config.host,
-            port=self.config.port)
+            port=self.config.port, limit=LINE_LIMIT)
         self.port = self._asyncio_server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
-        """Start and serve until cancelled (then drain gracefully)."""
-        await self.start()
-        assert self._asyncio_server is not None
+        """Serve a started endpoint until cancelled, then drain
+        gracefully."""
         try:
             await self._asyncio_server.serve_forever()
-        except asyncio.CancelledError:
-            pass
         finally:
             await self.stop()
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain, tear down."""
         self._draining = True
-        if self.scheduler is not None:
-            await asyncio.to_thread(self.scheduler.stop)
         if self._asyncio_server is not None:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
@@ -177,31 +247,31 @@ class PsqlServer:
         while ((self._inflight or self._active_responses)
                and time.monotonic() < deadline):
             await asyncio.sleep(0.01)
-        for conn in list(self._connections.values()):
+        for conn in list(self._connections):
             conn.writer.close()
         self._connections.clear()
-        self.service.close(wait=False)
-
-    # -- background-thread embedding ---------------------------------------
+        # Let the connection handlers observe EOF and exit before the
+        # loop tears down (avoids cancel noise from blocked reads).
+        await asyncio.sleep(0)
 
     def start_background(self, timeout: float = 30.0,
                          ) -> tuple[str, int]:
-        """Run the server's event loop on a daemon thread.
+        """Run the event loop on a daemon thread.
 
         Returns ``(host, port)`` once the listener is bound — with
         ``config.port = 0`` this is how callers learn the ephemeral
         port.  Pair with :meth:`stop_background`.
         """
         if self._thread is not None:
-            raise RuntimeError("server already running in background")
+            raise RuntimeError("already running in background")
         self._thread = threading.Thread(target=self._thread_main,
-                                        name="psql-server", daemon=True)
+                                        name=type(self).__name__,
+                                        daemon=True)
         self._thread.start()
         if not self._thread_ready.wait(timeout):
-            raise RuntimeError("server failed to start within timeout")
+            raise RuntimeError("failed to start within timeout")
         if self._thread_error is not None:
-            raise RuntimeError("server failed to start") \
-                from self._thread_error
+            raise RuntimeError("failed to start") from self._thread_error
         assert self.port is not None
         return self.config.host, self.port
 
@@ -228,218 +298,212 @@ class PsqlServer:
     async def _serve_until_stopped(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_requested = asyncio.Event()
-        try:
-            await self.start()
-        except BaseException as exc:  # noqa: BLE001
-            self._thread_error = exc
-            self._thread_ready.set()
-            return
+        await self.start()      # a failure surfaces through _thread_main
         self._thread_ready.set()
         await self._stop_requested.wait()
         await self.stop()
 
-    # -- connection handling -------------------------------------------------
+    # -- the request path ----------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        sid = self._next_session_id
-        self._next_session_id += 1
-        peername = writer.get_extra_info("peername")
-        conn = _Connection(
-            session_id=sid,
-            peer=str(peername) if peername else "?",
-            session=self.service.make_session(),
-            writer=writer)
-        self._connections[sid] = conn
-        self.registry.bump("server.sessions.opened")
+        conn = _Connection(writer, self._make_session())
+        self._connections.add(conn)
+        prefix = self.metric_prefix
+        self.registry.bump(f"{prefix}.sessions.opened")
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                try:
+                    request = await _next_request(reader, conn.binary)
+                except protocol.FramingError as exc:
+                    await self.send(conn, protocol_error(str(exc)))
                     break
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
+                except (protocol.ProtocolError, UnicodeDecodeError) as exc:
+                    self.registry.bump(f"{prefix}.errors")
+                    await self.send(conn, protocol_error(str(exc)))
                     continue
-                verb, _, rest = text.partition(" ")
-                verb = verb.upper()
-                if verb == "QUIT":
-                    await self._write_lines(
-                        conn, [protocol.BYE, protocol.END])
+                if request is None:
                     break
-                if not await self._dispatch(conn, verb, rest):
-                    await self._write_error(
-                        conn, "ProtocolError",
-                        f"unknown command {verb!r} "
-                        f"(try {'/'.join(self.verbs())})")
-                if conn.binary:
-                    # HELLO bin was acknowledged in text; every byte
-                    # from here on is length-prefixed binary framing.
-                    await self._binary_loop(conn, reader)
+                reply = await self._dispatch(conn, *request)
+                await self.send(conn, reply)
+                if reply.status == "bye":
                     break
+                conn.binary = conn.hello_bin
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.pop(sid, None)
-            self.registry.bump("server.sessions.closed")
+            self._connections.discard(conn)
+            self.registry.bump(f"{prefix}.sessions.closed")
             writer.close()
 
-    # -- verb dispatch -------------------------------------------------------
-
-    def verbs(self) -> tuple[str, ...]:
-        """The command verbs this server answers (for error messages)."""
-        return ("QUERY", "EXPLAIN", "PREPARE", "EXECUTE", "REPACK",
-                "MAINTAIN", "ADVISE", "HEALTH", "STATS", "PING", "HELLO",
-                "QUIT")
-
     async def _dispatch(self, conn: _Connection, verb: str,
-                        rest: str) -> bool:
-        """Handle one framed command; False means the verb is unknown.
+                        args: Any) -> Response:
+        entry = self.VERBS.get(verb)
+        if entry is None:
+            return protocol_error(f"unknown command {verb!r} "
+                                  f"(try {'/'.join(self.VERBS)})")
+        if entry.mutating and self.read_only:
+            return error_reply(
+                "ReadOnly", f"{verb} rejected: this node is a read "
+                            f"replica; send writes to the primary")
+        try:
+            return await entry.handler(self, conn, args)
+        except Refusal as refusal:
+            return refusal.args[0]
 
-        The extension point for role-specific servers: the cluster's
-        shard and replica servers override this to add verbs (INSERT,
-        DELETE, KNN, REPLAY) and to gate mutations by role, falling
-        back here for the base protocol.
-        """
-        if verb == "QUERY":
-            await self._handle_query(conn, rest)
-        elif verb == "EXPLAIN":
-            # EXPLAIN [ANALYZE] <query> — same pipeline as QUERY
-            # (normalisation, cache, admission, framing); the
-            # session turns the plan into a one-column result.
-            await self._handle_query(conn, "explain " + rest)
-        elif verb == "PREPARE":
-            await self._handle_prepare(conn, rest)
-        elif verb == "EXECUTE":
-            await self._handle_execute_line(conn, rest)
-        elif verb == "REPACK":
-            await self._handle_repack(conn, rest)
-        elif verb == "MAINTAIN":
-            await self._handle_maintain(conn, rest)
-        elif verb == "ADVISE":
-            await self._handle_advise(conn, rest)
-        elif verb == "HEALTH":
-            await self._handle_health(conn)
-        elif verb in ("STATS", "METRICS"):
-            await self._reply_stats(conn)
-        elif verb == "PING":
-            await self._reply_pong(conn)
-        elif verb == "HELLO":
-            await self._handle_hello(conn, rest)
-        else:
-            return False
-        return True
+    async def send(self, conn: _Connection, reply: Response) -> None:
+        """Edge encode: write *reply* in *conn*'s codec."""
+        data = (binproto.encode_reply(reply) if conn.binary
+                else protocol.encode_reply(reply))
+        self._active_responses += 1
+        try:
+            conn.writer.write(data)
+            await conn.writer.drain()
+        finally:
+            self._active_responses -= 1
 
-    # -- protocol negotiation -------------------------------------------------
+    def _fresh(self, conn: _Connection, result: QueryResult) -> Response:
+        """A result built on the loop (a report, a merge), rendered in
+        *conn*'s codec only."""
+        return result_reply("fresh", self.generation,
+                            CachedResult.render(result, conn.binary))
 
-    async def _handle_hello(self, conn: _Connection, rest: str) -> None:
+    def _report(self, conn: _Connection, column: str,
+                lines: list[str]) -> Response:
+        """Report *lines* as a fresh one-column result."""
+        return self._fresh(conn, QueryResult(
+            columns=(column,), rows=[(line,) for line in lines]))
+
+    # -- protocol verbs -------------------------------------------------------
+
+    async def _handle_hello(self, conn: _Connection, rest: str) -> Response:
         """``HELLO [bin|text]`` — per-connection protocol negotiation.
 
-        The acknowledgement always travels in the *current* framing;
-        with ``bin`` the connection switches to length-prefixed binary
-        frames immediately after it.  Old servers answer ``ERR`` here,
-        which a client treats as "stay on text".
+        The acknowledgement travels in the *current* framing; with
+        ``bin`` the connection switches to length-prefixed binary frames
+        immediately after it.  Old servers answer ``ERR`` here, which a
+        client treats as "stay on text".
         """
         if conn.binary:
-            await self._write_error(conn, "ProtocolError",
-                                    "protocol already negotiated")
-            return
+            return protocol_error("protocol already negotiated")
         mode = rest.strip().lower() or "text"
         if mode not in ("bin", "binary", "text"):
-            await self._write_error(conn, "ProtocolError",
-                                    "usage: HELLO [bin|text]")
-            return
-        await self._write_lines(
-            conn,
-            [f"{protocol.OK} hello {self.generation} 0", protocol.END])
-        conn.binary = mode != "text"
-        if conn.binary:
-            self.registry.bump("server.sessions.binary")
+            return protocol_error("usage: HELLO [bin|text]")
+        conn.hello_bin = mode != "text"
+        if conn.hello_bin:
+            self.registry.bump(f"{self.metric_prefix}.sessions.binary")
+        return ack_reply("hello", self.generation, 0)
 
-    async def _binary_loop(self, conn: _Connection,
-                           reader: asyncio.StreamReader) -> None:
-        """Serve length-prefixed binary frames until EOF or QUIT.
+    async def _handle_ping(self, conn: _Connection, rest: str) -> Response:
+        return Response("pong")
 
-        A malformed frame *body* (unknown opcode, truncated struct, bad
-        UTF-8) is answered with an ``ERR`` frame and the loop continues:
-        the length prefix was consumed exactly, so framing stays in
-        sync.  Only an implausible length prefix tears the connection
-        down — at that point the stream position cannot be trusted.
+    async def _handle_quit(self, conn: _Connection, rest: str) -> Response:
+        return Response("bye")
+
+    #: verb -> :class:`Verb`; subclasses extend it.  Handlers are looked
+    #: up here, not by method name, so a subclass that overrides one
+    #: lists it again.
+    VERBS: dict[str, Verb] = {
+        "PING": Verb(_handle_ping),
+        "HELLO": Verb(_handle_hello),
+        "QUIT": Verb(_handle_quit),
+    }
+
+
+class PsqlServer(ProtocolServer):
+    """A concurrent PSQL query server over one pictorial database.
+
+    Args:
+        config: server parameters.
+        db: the database to serve; omit to build one from
+            ``config.factory_spec`` (required anyway for process mode).
+        session_factory: per-connection session builder (thread mode),
+            e.g. to pre-register application pictorial functions.
+    """
+
+    def __init__(self, config: Optional[ServerConfig] = None,
+                 db: Optional[Database] = None,
+                 session_factory=None):
+        self.config = config or ServerConfig()
+        super().__init__()
+        self.service = QueryService(
+            db=db, workers=self.config.workers,
+            executor=self.config.executor,
+            factory_spec=self.config.factory_spec,
+            session_factory=session_factory,
+            capture=self.config.capture)
+        self.cache = QueryCache(capacity=self.config.cache_size)
+        # Background repack daemon (thread-executor servers only; the
+        # process pool's workers hold their own catalog copies).
+        self.scheduler = None
+        if self.config.executor == "thread":
+            from repro.server.scheduler import MaintenanceScheduler
+            self.scheduler = MaintenanceScheduler(
+                self.service.db,
+                interval=self.config.maintenance_interval,
+                enabled=self.config.maintenance,
+                on_cycle=self._after_maintenance_cycle)
+
+    # -- lifecycle ----------------------------------------------------------
+
+    async def start(self) -> None:
+        """Warm the worker pool, then bind the listener."""
+        self.service.start()
+        if self.scheduler is not None:
+            self.scheduler.start()
+        await super().start()
+
+    async def stop(self) -> None:
+        self._draining = True
+        if self.scheduler is not None:
+            await asyncio.to_thread(self.scheduler.stop)
+        await super().stop()
+        self.service.close(wait=False)
+
+    def _make_session(self) -> Session:
+        return self.service.make_session()
+
+    async def _offload(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run ``fn(*args)`` on a plain thread, off the event loop.
+
+        A failure is framed, never fatal: it raises :class:`Refusal`
+        with an ``ERR`` naming the exception, and a storage-stack
+        failure also counts as ``server.io_errors``.  A draining server
+        starts no new work.
         """
-        while True:
-            try:
-                prefix = await reader.readexactly(4)
-            except asyncio.IncompleteReadError:
-                return
-            length = int.from_bytes(prefix, "little")
-            if length == 0 or length > binproto.MAX_FRAME:
-                await self._write_error(
-                    conn, "ProtocolError",
-                    f"implausible frame length {length}; closing")
-                return
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                return
-            try:
-                opcode, payload = binproto.decode_request(body)
-                if opcode == binproto.OP_QUERY:
-                    await self._handle_query(conn,
-                                             payload.decode("utf-8"))
-                elif opcode == binproto.OP_PREPARE:
-                    await self._handle_prepare(conn,
-                                               payload.decode("utf-8"))
-                elif opcode == binproto.OP_EXECUTE:
-                    statement_id, params = binproto.decode_execute(payload)
-                    await self._handle_execute(conn, statement_id, params)
-                elif opcode == binproto.OP_STATS:
-                    await self._reply_stats(conn)
-                elif opcode == binproto.OP_PING:
-                    await self._reply_pong(conn)
-                elif opcode == binproto.OP_QUIT:
-                    await self._reply_bye(conn)
-                    return
-                elif opcode == binproto.OP_COMMAND:
-                    text = payload.decode("utf-8").strip()
-                    if not text:
-                        continue
-                    verb, _, rest = text.partition(" ")
-                    verb = verb.upper()
-                    if verb == "QUIT":
-                        await self._reply_bye(conn)
-                        return
-                    if not await self._dispatch(conn, verb, rest):
-                        await self._write_error(
-                            conn, "ProtocolError",
-                            f"unknown command {verb!r} "
-                            f"(try {'/'.join(self.verbs())})")
-                else:
-                    await self._write_error(conn, "ProtocolError",
-                                            f"unknown opcode {opcode}")
-            except (protocol.ProtocolError, UnicodeDecodeError) as exc:
-                conn.errors += 1
-                self.registry.bump("server.errors")
-                await self._write_error(conn, "ProtocolError", str(exc))
+        if self._draining:
+            raise Refusal(_SHUTTING_DOWN)
+        try:
+            return await asyncio.to_thread(fn, *args)
+        except Exception as exc:  # noqa: BLE001 - framed, never fatal
+            self.registry.bump("server.errors")
+            if isinstance(exc, STORAGE_ERRORS):
+                self.registry.bump("server.io_errors")
+            message = str(exc)
+            if isinstance(exc, (KeyError, ValueError)):
+                message = message.strip("'\"")
+            raise Refusal(error_reply(type(exc).__name__, message)) \
+                from exc
 
     # -- the QUERY path ------------------------------------------------------
 
-    async def _handle_query(self, conn: _Connection, text: str) -> None:
-        conn.queries += 1
+    async def _handle_query(self, conn: _Connection, text: str) -> Response:
         self.registry.bump("server.queries")
         try:
             normalized = normalize_query(text)
         except PsqlError as exc:
-            await self._write_error(conn, type(exc).__name__, str(exc))
-            return
+            return error_reply(type(exc).__name__, str(exc))
         log_text = (None if normalized.startswith("explain ")
                     else normalized)
-        await self._run_query_job(
+        return await self._run_query_job(
             conn, normalized,
-            lambda: self.service.submit(conn.session, text, conn.binary),
+            lambda: self.service.submit(
+                text, conn.binary, lambda: conn.session.execute(text)),
             log_text=log_text)
 
     async def _run_query_job(self, conn: _Connection, cache_key,
                              submit, log_text: Optional[str] = None,
-                             ) -> None:
+                             ) -> Response:
         """The shared cache/admission/submit/reply tail of a query.
 
         *cache_key* is any hashable — normalized text for QUERY, a
@@ -460,23 +524,16 @@ class PsqlServer:
                 # never reach a session, so the workload log hears about
                 # them here (call count only — nothing executed).
                 log.record_cached(log_text, cached.nrows)
-            await self._reply_result(
-                conn, "cached", generation, cached.nrows,
-                cached.binary() if conn.binary else cached.text())
-            return
+            return result_reply("cached", generation, cached)
 
         if self._draining:
-            await self._write_error(conn, "ServerError",
-                                    "server is shutting down")
-            return
+            return _SHUTTING_DOWN
         if self._inflight >= self.config.effective_max_inflight():
             self.registry.bump("server.busy_rejections")
-            await self._reply_busy(
-                conn,
+            return Response("busy", error_message=(
                 f"{self._inflight} queries in flight "
                 f"(limit {self.config.effective_max_inflight()}); "
-                f"retry later")
-            return
+                f"retry later"))
 
         loop = asyncio.get_running_loop()
         self._inflight += 1
@@ -498,8 +555,8 @@ class PsqlServer:
                 cancel_event.set()
             future.cancel()
             self.registry.bump("server.timeouts")
-            await self._reply_timeout(conn, f"query exceeded {timeout:g}s")
-            return
+            return Response("timeout",
+                            error_message=f"query exceeded {timeout:g}s")
         except asyncio.CancelledError:
             future.cancel()
             raise
@@ -507,25 +564,19 @@ class PsqlServer:
         if outcome.cancelled:
             # Raced a shutdown/cancel before starting; treat as shed load.
             self.registry.bump("server.busy_rejections")
-            await self._reply_busy(conn, "cancelled before execution")
-            return
+            return Response("busy",
+                            error_message="cancelled before execution")
         if not outcome.ok:
-            conn.errors += 1
             self.registry.bump("server.errors")
             if outcome.io_fault:
                 self.registry.bump("server.io_errors")
-            await self._write_error(conn, outcome.error_kind,
-                                    outcome.error_message)
-            return
+            return error_reply(outcome.error_kind, outcome.error_message)
 
         self.registry.counters.merge(outcome.counters)
         self.registry.bump("server.queries.executed")
-        self.registry.bump("server.rows_returned", outcome.nrows)
-        self.cache.put(cache_key, generation, outcome.payload,
-                       outcome.nrows, outcome.bbody)
-        await self._reply_result(
-            conn, "fresh", generation, outcome.nrows,
-            outcome.bbody if conn.binary else outcome.payload)
+        self.registry.bump("server.rows_returned", outcome.result.nrows)
+        self.cache.store(cache_key, generation, outcome.result)
+        return result_reply("fresh", generation, outcome.result)
 
     def _release_slot(self) -> None:
         self._inflight -= 1
@@ -533,51 +584,25 @@ class PsqlServer:
     # -- the PREPARE / EXECUTE path -------------------------------------------
 
     async def _handle_prepare(self, conn: _Connection,
-                              template: str) -> None:
+                              template: str) -> Response:
         """``PREPARE <template>`` — register a ``?``-placeholder query.
 
         Nothing is parsed yet (a bare ``?`` is not valid PSQL); the
-        response carries the statement id in the header's count field:
-        ``OK prepare <generation> <statement-id>``.
+        reply carries the statement id in the header's count field
+        (text: ``OK prepare <generation> <statement-id>``).
         """
         template = template.strip()
         if not template:
-            await self._write_error(conn, "ProtocolError",
-                                    "usage: PREPARE <query template>")
-            return
+            return protocol_error("usage: PREPARE <query template>")
         stmt = conn.session.prepare(template)
-        conn.prepared[stmt.statement_id] = stmt
         self.registry.bump("server.prepares")
-        await self._reply_prepared(conn, stmt)
+        return Response("ok", generation=self.generation,
+                        nrows=stmt.statement_id, disposition="prepare",
+                        stats={"statement.nparams": stmt.nparams})
 
-    async def _handle_execute_line(self, conn: _Connection,
-                                   rest: str) -> None:
-        """``EXECUTE <id> <tab-separated escaped params>`` (text form).
-
-        Parameters are tab-separated and escaped exactly like row
-        fields.  (The line framing strips trailing whitespace, so a
-        *trailing* empty parameter needs the binary protocol, which
-        length-prefixes every parameter.)
-        """
-        head, _, params_text = rest.partition(" ")
-        try:
-            statement_id = int(head)
-        except ValueError:
-            await self._write_error(
-                conn, "ProtocolError",
-                "usage: EXECUTE <statement-id> [params]")
-            return
-        try:
-            params = (tuple(protocol.unescape(p)
-                            for p in params_text.split("\t"))
-                      if params_text else ())
-        except protocol.ProtocolError as exc:
-            await self._write_error(conn, "ProtocolError", str(exc))
-            return
-        await self._handle_execute(conn, statement_id, params)
-
-    async def _handle_execute(self, conn: _Connection, statement_id: int,
-                              params: tuple[str, ...]) -> None:
+    async def _handle_execute(self, conn: _Connection,
+                              args: tuple[int, tuple[str, ...]],
+                              ) -> Response:
         """Bind + run one prepared execution through the QUERY pipeline.
 
         The result cache is keyed on ``(template, params)`` directly —
@@ -586,76 +611,56 @@ class PsqlServer:
         Cache hits are not recorded in the workload log for the same
         reason (fingerprinting would re-tokenise the text).
         """
-        conn.queries += 1
+        statement_id, params = args
         self.registry.bump("server.queries")
         self.registry.bump("server.executes")
-        stmt = conn.prepared.get(statement_id)
-        if stmt is None:
-            await self._write_error(
-                conn, "PsqlError",
-                f"unknown prepared statement {statement_id}")
-            return
+        try:
+            stmt = conn.session.prepared(statement_id)
+        except PsqlError as exc:
+            return error_reply("PsqlError", str(exc))
         if len(params) != stmt.nparams:
-            await self._write_error(
-                conn, "PsqlError",
+            return error_reply(
+                "PsqlError",
                 f"prepared statement {statement_id} takes "
                 f"{stmt.nparams} parameter(s), got {len(params)}")
-            return
         # A tuple key: no string building per request, and structurally
         # distinct from every normalize_query() text key.
         cache_key = (stmt.text, params)
-        await self._run_query_job(
+        return await self._run_query_job(
             conn, cache_key,
-            lambda: self.service.submit_prepared(
-                conn.session, statement_id, params,
-                stmt.substitute(params), conn.binary))
+            lambda: self.service.submit(
+                stmt.substitute(params), conn.binary,
+                lambda: conn.session.execute_prepared(statement_id, params)))
 
     # -- the REPACK path -----------------------------------------------------
 
-    async def _handle_repack(self, conn: _Connection, rest: str) -> None:
+    async def _handle_repack(self, conn: _Connection, rest: str) -> Response:
         """``REPACK <picture> <relation> [column]`` — offline rebuild.
 
         The rebuild runs on a plain thread (it is long, I/O-heavy and
         must not occupy a query-pool slot or the event loop); queries
         keep flowing meanwhile and only block briefly at the atomic
-        swap.  On success the response is ``OK repack <generation>
+        swap.  On success the reply is ``OK repack <generation>
         <entries>``, where *generation* is the post-bump value every
         later cache entry will be keyed on.
         """
         parts = rest.split()
         if len(parts) not in (2, 3):
-            await self._write_error(
-                conn, "ProtocolError",
+            return protocol_error(
                 "usage: REPACK <picture> <relation> [column]")
-            return
         picture, relation = parts[0], parts[1]
         column = parts[2] if len(parts) == 3 else "loc"
-        if self._draining:
-            await self._write_error(conn, "ServerError",
-                                    "server is shutting down")
-            return
         self.registry.bump("server.repacks")
-        try:
-            entries = await asyncio.to_thread(
-                self.service.rebuild_index, picture, relation, column)
-        except (KeyError, ValueError) as exc:
-            self.registry.bump("server.errors")
-            await self._write_error(conn, type(exc).__name__,
-                                    str(exc).strip("'\""))
-            return
-        except STORAGE_ERRORS as exc:
-            conn.errors += 1
-            self.registry.bump("server.errors")
-            self.registry.bump("server.io_errors")
-            await self._write_error(conn, type(exc).__name__, str(exc))
-            return
+        entries = await self._offload(self.service.rebuild_index, picture,
+                                      relation, column)
         generation = self.generation
         dropped = self.cache.drop_stale(generation)
         self.registry.bump("server.repacks.completed")
         self.registry.bump("server.cache.repack_dropped", dropped)
-        await self._reply_ack(conn, "repack", generation, entries)
+        return ack_reply("repack", generation, entries)
 
-    async def _handle_maintain(self, conn: _Connection, rest: str) -> None:
+    async def _handle_maintain(self, conn: _Connection,
+                               rest: str) -> Response:
         """``MAINTAIN [on|off|status|run]`` — the background repack daemon.
 
         ``on``/``off`` toggle the scheduler and answer ``OK maintain
@@ -666,38 +671,24 @@ class PsqlServer:
         """
         action = rest.strip().lower() or "status"
         if action not in ("on", "off", "status", "run"):
-            await self._write_error(conn, "ProtocolError",
-                                    "usage: MAINTAIN [on|off|status|run]")
-            return
+            return protocol_error("usage: MAINTAIN [on|off|status|run]")
         if self.scheduler is None:
-            await self._write_error(
-                conn, "ValueError",
+            return error_reply(
+                "ValueError",
                 "maintenance requires the thread executor (process "
                 "workers hold their own catalog copies)")
-            return
         self.registry.bump("server.maintains")
         if action == "on":
             self.scheduler.enable()
-            await self._reply_ack(conn, "maintain", self.generation, 1)
-        elif action == "off":
+            return ack_reply("maintain", self.generation, 1)
+        if action == "off":
             self.scheduler.disable()
-            await self._reply_ack(conn, "maintain", self.generation, 0)
-        elif action == "run":
-            if self._draining:
-                await self._write_error(conn, "ServerError",
-                                        "server is shutting down")
-                return
-            try:
-                actions = await asyncio.to_thread(self.scheduler.run_now)
-            except Exception as exc:  # noqa: BLE001 - framed, never fatal
-                self.registry.bump("server.errors")
-                await self._write_error(conn, type(exc).__name__, str(exc))
-                return
+            return ack_reply("maintain", self.generation, 0)
+        if action == "run":
+            actions = await self._offload(self.scheduler.run_now)
             lines = [a.describe() for a in actions] or ["no indexes"]
-            await self._write_report(conn, "maintain", lines)
-        else:
-            await self._write_report(conn, "maintain",
-                                     self.scheduler.status_lines())
+            return self._report(conn, "maintain", lines)
+        return self._report(conn, "maintain", self.scheduler.status_lines())
 
     def _after_maintenance_cycle(self, actions) -> None:
         """Post-cycle hook (scheduler thread): invalidate stale results.
@@ -714,9 +705,9 @@ class PsqlServer:
         self.registry.bump("server.maintenance.repacks", repacked)
         self.registry.bump("server.cache.repack_dropped", dropped)
 
-    # -- the ADVISE / HEALTH paths -------------------------------------------
+    # -- the ADVISE / HEALTH / STATS paths ------------------------------------
 
-    async def _handle_advise(self, conn: _Connection, rest: str) -> None:
+    async def _handle_advise(self, conn: _Connection, rest: str) -> Response:
         """``ADVISE [top]`` — workload analysis + ranked recommendations.
 
         Replanning the captured workload against hypothetical catalogs
@@ -732,17 +723,10 @@ class PsqlServer:
             except ValueError:
                 top = -1
             if top < 1:
-                await self._write_error(conn, "ProtocolError",
-                                        "usage: ADVISE [top-n]")
-                return
+                return protocol_error("usage: ADVISE [top-n]")
         self.registry.bump("server.advises")
-        try:
-            lines = await asyncio.to_thread(self._advise_lines, top)
-        except Exception as exc:  # noqa: BLE001 - framed, never fatal
-            self.registry.bump("server.errors")
-            await self._write_error(conn, type(exc).__name__, str(exc))
-            return
-        await self._write_report(conn, "advise", lines)
+        lines = await self._offload(self._advise_lines, top)
+        return self._report(conn, "advise", lines)
 
     def _advise_lines(self, top: int) -> list[str]:
         from repro.advisor import advise, format_advise
@@ -753,158 +737,37 @@ class PsqlServer:
                     "nothing to advise on"]
         return format_advise(advise(self.service.db, log, top=top))
 
-    async def _handle_health(self, conn: _Connection) -> None:
+    async def _handle_health(self, conn: _Connection, rest: str) -> Response:
         """``HEALTH`` — graded checks over live stats and the catalog."""
         self.registry.bump("server.healths")
-        stats = self.stats()
-        try:
-            lines = await asyncio.to_thread(self._health_lines, stats)
-        except Exception as exc:  # noqa: BLE001 - framed, never fatal
-            self.registry.bump("server.errors")
-            await self._write_error(conn, type(exc).__name__, str(exc))
-            return
-        await self._write_report(conn, "health", lines)
+        lines = await self._offload(self._health_lines, self.stats())
+        return self._report(conn, "health", lines)
 
     def _health_lines(self, stats: dict[str, float]) -> list[str]:
         from repro.advisor import format_health, run_health_checks
         return format_health(run_health_checks(self.service.db,
                                                stats=stats))
 
-    async def _write_report(self, conn: _Connection, column: str,
-                            lines: list[str]) -> None:
-        """Frame report *lines* as a fresh one-column result."""
-        await self._reply_fresh(
-            conn, QueryResult(columns=(column,),
-                              rows=[(line,) for line in lines]))
+    async def _handle_stats(self, conn: _Connection, rest: str) -> Response:
+        return Response("ok", generation=self.generation,
+                        disposition="stats", stats=self.stats())
 
-    # -- frame writing (mode-aware) ------------------------------------------
-
-    async def _write_lines(self, conn: _Connection,
-                           lines: list[str] | tuple[str, ...]) -> None:
-        self._active_responses += 1
-        try:
-            conn.writer.write(("\n".join(lines) + "\n").encode("utf-8"))
-            await conn.writer.drain()
-        finally:
-            self._active_responses -= 1
-
-    async def _write_bytes(self, conn: _Connection, data: bytes) -> None:
-        self._active_responses += 1
-        try:
-            conn.writer.write(data)
-            await conn.writer.drain()
-        finally:
-            self._active_responses -= 1
-
-    async def _reply_fresh(self, conn: _Connection,
-                           result: QueryResult) -> None:
-        """Answer with a result built on the event loop (a report, a
-        cluster verb), rendered in *conn*'s encoding only."""
-        await self._reply_result(
-            conn, "fresh", self.generation, len(result.rows),
-            binproto.encode_result_body(result) if conn.binary
-            else protocol.encode_result(result))
-
-    async def _reply_result(self, conn: _Connection, disposition: str,
-                            generation: int, nrows: int,
-                            rendered: Union[bytes, Sequence[str]],
-                            ) -> None:
-        """One OK-with-result response in the framing *conn* uses;
-        *rendered* is the result body in that framing (binary body
-        bytes, or text payload lines).
-
-        The binary path writes prefix, header and body as three buffer
-        appends — the body bytes are never copied or re-encoded.
-        """
-        if conn.binary:
-            header = binproto.ok_header(disposition, generation, nrows)
-            self._active_responses += 1
-            try:
-                writer = conn.writer
-                writer.write(binproto.frame_prefix(len(header)
-                                                   + len(rendered)))
-                writer.write(header)
-                writer.write(rendered)
-                await writer.drain()
-            finally:
-                self._active_responses -= 1
-            return
-        header = f"{protocol.OK} {disposition} {generation} {nrows}"
-        await self._write_lines(conn, [header, *rendered])
-
-    async def _reply_ack(self, conn: _Connection, disposition: str,
-                         generation: int, count: int) -> None:
-        if conn.binary:
-            await self._write_bytes(
-                conn, binproto.response_ack(disposition, generation, count))
-            return
-        await self._write_lines(
-            conn,
-            [f"{protocol.OK} {disposition} {generation} {count}",
-             protocol.END])
-
-    async def _reply_prepared(self, conn: _Connection,
-                              stmt: PreparedStatement) -> None:
-        if conn.binary:
-            await self._write_bytes(
-                conn, binproto.response_prepared(
-                    self.generation, stmt.statement_id, stmt.nparams))
-            return
-        await self._reply_ack(conn, "prepare", self.generation,
-                              stmt.statement_id)
-
-    async def _reply_busy(self, conn: _Connection, message: str) -> None:
-        if conn.binary:
-            await self._write_bytes(conn, binproto.response_busy(message))
-            return
-        await self._write_lines(
-            conn,
-            [f"{protocol.BUSY} " + protocol.escape(message),
-             protocol.END])
-
-    async def _reply_timeout(self, conn: _Connection,
-                             message: str) -> None:
-        if conn.binary:
-            await self._write_bytes(conn,
-                                    binproto.response_timeout(message))
-            return
-        await self._write_lines(
-            conn,
-            [f"{protocol.TIMEOUT} " + protocol.escape(message),
-             protocol.END])
-
-    async def _reply_pong(self, conn: _Connection) -> None:
-        if conn.binary:
-            await self._write_bytes(conn, binproto.response_pong())
-            return
-        await self._write_lines(conn, [protocol.PONG, protocol.END])
-
-    async def _reply_bye(self, conn: _Connection) -> None:
-        if conn.binary:
-            await self._write_bytes(conn, binproto.response_bye())
-            return
-        await self._write_lines(conn, [protocol.BYE, protocol.END])
-
-    async def _reply_stats(self, conn: _Connection) -> None:
-        if conn.binary:
-            stats = dict(self.stats())
-            stats["server.generation"] = int(self.generation)
-            await self._write_bytes(conn, binproto.response_stats(stats))
-            return
-        await self._write_lines(
-            conn, protocol.encode_stats(self.stats(),
-                                        generation=self.generation))
-
-    async def _write_error(self, conn: _Connection, kind: str,
-                           message: str) -> None:
-        if conn.binary:
-            await self._write_bytes(conn,
-                                    binproto.response_error(kind, message))
-            return
-        await self._write_lines(
-            conn,
-            [f"{protocol.ERR} {kind} {protocol.escape(message)}",
-             protocol.END])
+    VERBS: dict[str, Verb] = {
+        "QUERY": Verb(_handle_query),
+        # EXPLAIN [ANALYZE] <query> — same pipeline as QUERY
+        # (normalisation, cache, admission, framing); the session turns
+        # the plan into a one-column result.
+        "EXPLAIN": Verb(lambda self, conn, rest:
+                        self._handle_query(conn, "explain " + rest)),
+        "PREPARE": Verb(_handle_prepare),
+        "EXECUTE": Verb(_handle_execute),
+        "REPACK": Verb(_handle_repack, mutating=True),
+        "MAINTAIN": Verb(_handle_maintain),
+        "ADVISE": Verb(_handle_advise),
+        "HEALTH": Verb(_handle_health),
+        "STATS": Verb(_handle_stats),
+        **ProtocolServer.VERBS,
+    }
 
     # -- metrics -------------------------------------------------------------
 

@@ -36,7 +36,7 @@ from repro.psql.errors import PsqlError
 from repro.psql.executor import Session
 from repro.psql.result import QueryResult
 from repro.relational.catalog import Database
-from repro.server import binproto, protocol
+from repro.server.cache import CachedResult
 from repro.server.demo import DEFAULT_FACTORY_SPEC, resolve_factory
 from repro.storage import HeapFileError, InjectedFault, PagerError, WalError
 
@@ -54,17 +54,13 @@ STORAGE_ERRORS = (PagerError, WalError, HeapFileError, InjectedFault,
 class QueryOutcome:
     """What one worker produced for one query (always picklable)."""
 
-    #: COLS/ROW*/END lines, when the connection speaks text
-    payload: tuple[str, ...] = ()
-    nrows: int = 0
+    #: the result, rendered in the requesting connection's codec
+    result: Optional[CachedResult] = None
     error_kind: str = ""               #: exception class name, "" on success
     error_message: str = ""
     counters: dict[str, float] = field(default_factory=dict)
     cancelled: bool = False            #: abandoned before execution began
     io_fault: bool = False             #: failure came from the storage stack
-    #: binary-protocol result body (:func:`repro.server.binproto
-    #: .encode_result_body`), when the connection speaks binary
-    bbody: bytes = b""
 
     @property
     def ok(self) -> bool:
@@ -85,12 +81,8 @@ def _outcome_from(execute: Callable[[], "QueryResult"],
     """
     try:
         with obs.scope(forward=False) as registry:
-            result = execute()
-            outcome = QueryOutcome(nrows=len(result.rows))
-            if binary:
-                outcome.bbody = binproto.encode_result_body(result)
-            else:
-                outcome.payload = tuple(protocol.encode_result(result))
+            outcome = QueryOutcome(
+                result=CachedResult.render(execute(), binary))
         outcome.counters = dict(registry.snapshot())
         return outcome
     except PsqlError as exc:
@@ -105,12 +97,6 @@ def _outcome_from(execute: Callable[[], "QueryResult"],
         # take down a worker or leak an unframed exception to the socket.
         return QueryOutcome(error_kind=type(exc).__name__,
                             error_message=str(exc))
-
-
-def _execute_to_outcome(session: Session, text: str,
-                        binary: bool) -> QueryOutcome:
-    """Run one query text; see :func:`_outcome_from`."""
-    return _outcome_from(lambda: session.execute(text), binary)
 
 
 # -- process-pool worker side -------------------------------------------------
@@ -130,7 +116,7 @@ def _init_process_worker(factory_spec: str) -> None:
 
 def _run_in_process_worker(text: str, binary: bool) -> QueryOutcome:
     assert _worker_session is not None, "worker initializer did not run"
-    return _execute_to_outcome(_worker_session, text, binary)
+    return _outcome_from(lambda: _worker_session.execute(text), binary)
 
 
 # -- the service --------------------------------------------------------------
@@ -223,15 +209,23 @@ class QueryService:
             session.query_log = self.query_log
         return session
 
-    def submit(self, session: Session, text: str, binary: bool):
+    def submit(self, text: str, binary: bool,
+               execute: Callable[[], QueryResult]):
         """Submit one query; returns the ``concurrent.futures.Future``.
 
         The future resolves to a :class:`QueryOutcome` rendered for a
-        *binary* or a text connection.  A
-        ``cancel_event`` set before the worker picks the task up makes
-        it return a cancelled outcome without executing — the timeout
-        path uses this so an abandoned-but-unstarted query does not
-        burn a worker slot.
+        *binary* or a text connection.  Thread mode runs *execute*, a
+        call on the connection's session — for a prepared statement,
+        :meth:`Session.execute_prepared`, whose bound AST is memoized
+        per parameter set so repeats skip the parser and hit the plan
+        cache.  Process workers hold private sessions that never saw a
+        PREPARE, so they run *text* (the query, parameters substituted)
+        as a plain query: same results, full parse.
+
+        A ``cancel_event`` set before a thread worker picks the task up
+        makes it return a cancelled outcome without executing — the
+        timeout path uses this so an abandoned-but-unstarted query does
+        not burn a worker slot.
         """
         if self._pool is None:
             self.start()
@@ -243,37 +237,7 @@ class QueryService:
         def run() -> QueryOutcome:
             if cancel_event.is_set():
                 return QueryOutcome(cancelled=True)
-            return _execute_to_outcome(session, text, binary)
-
-        future = self._pool.submit(run)
-        future.cancel_event = cancel_event  # type: ignore[attr-defined]
-        return future
-
-    def submit_prepared(self, session: Session, statement_id: int,
-                        params: tuple[str, ...], substituted: str,
-                        binary: bool):
-        """Submit one prepared-statement execution; returns the future.
-
-        Thread mode runs :meth:`Session.execute_prepared` — the bound
-        AST is memoized per parameter set, so repeats skip the parser
-        and hit the plan cache.  Process workers hold private sessions
-        that never saw the PREPARE, so they fall back to executing the
-        pre-substituted text as a plain query (same results, full parse).
-        """
-        if self._pool is None:
-            self.start()
-        assert self._pool is not None
-        if self.executor_kind == "process":
-            return self._pool.submit(_run_in_process_worker, substituted,
-                                     binary)
-        cancel_event = threading.Event()
-
-        def run() -> QueryOutcome:
-            if cancel_event.is_set():
-                return QueryOutcome(cancelled=True)
-            return _outcome_from(
-                lambda: session.execute_prepared(statement_id, params),
-                binary)
+            return _outcome_from(execute, binary)
 
         future = self._pool.submit(run)
         future.cancel_event = cancel_event  # type: ignore[attr-defined]

@@ -85,15 +85,6 @@ class TestResultBody:
         body = binproto.encode_result_body(QueryResult(columns=("a",)))
         assert binproto.decode_result_body(body) == (("a",), [])
 
-    def test_string_rows_body_matches(self):
-        # The router's merge path re-frames already-formatted strings;
-        # for string cells the two encoders must agree byte for byte.
-        result = QueryResult(columns=("distance", "gid"))
-        result.rows.append(("1.5", "7"))
-        assert binproto.encode_string_rows_body(
-            ("distance", "gid"), [("1.5", "7")]) == \
-            binproto.encode_result_body(result)
-
     @pytest.mark.parametrize("mutate", [
         lambda b: b[:1],            # truncated ncols
         lambda b: b[:-1],           # truncated last cell

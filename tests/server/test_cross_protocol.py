@@ -267,7 +267,7 @@ class TestFraming:
     def test_hello_rejected_once_binary(self, served):
         host, port, _ = served
         with Client(host, port, binary=True) as c:
-            r = c._command("HELLO bin")
+            r = c._roundtrip("HELLO bin")
             assert r.status == "error"
             assert "already negotiated" in r.error_message
             assert c.ping()
