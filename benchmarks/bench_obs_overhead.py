@@ -1,12 +1,12 @@
 """Observability overhead: disabled instrumentation must be (nearly) free.
 
 The obs call sites in the R-tree hot path reduce, while disabled, to one
-module-attribute read per query (``track = obs.ENABLED``) plus a handful
-of ``if track`` branches.  This module measures that cost directly:
+module-attribute read per query (``track = obs.ENABLED``) plus one
+counting branch per node.  This module measures that cost directly:
 
 - ``baseline``  — an uninstrumented re-implementation of the window-search
-  loop, structurally identical to :meth:`RTree._search` minus every obs
-  line (the tree the seed shipped, in effect);
+  loop, structurally identical to :meth:`Tree._search` minus every obs
+  and stats line;
 - ``disabled``  — the real :meth:`RTree.search` with ``obs.ENABLED`` False;
 - ``enabled``   — the real search with a registry recording.
 
@@ -51,18 +51,20 @@ def windows():
     return out
 
 
-def baseline_search(root, window):
-    """The seed's search loop with zero instrumentation — the yardstick."""
+def baseline_search(tree, window):
+    """The tree's search loop with zero instrumentation — the yardstick."""
+    wx1, wy1, wx2, wy2 = window
+    fetch = tree.store.fetch
     results = []
-    stack = [root]
+    stack = [tree.root]
     while stack:
-        node = stack.pop()
-        for e in node.entries:
-            if e.rect.intersects(window):
-                if node.is_leaf:
-                    results.append(e.oid)
-                else:
-                    stack.append(e.child)
+        is_leaf, entries = fetch(stack.pop())
+        hits = [ref for x1, y1, x2, y2, ref in entries
+                if x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2]
+        if is_leaf:
+            results += hits
+        else:
+            stack += hits
     return results
 
 
@@ -77,11 +79,9 @@ def best_of(repeats, fn):
 
 def test_disabled_overhead_under_10_percent(tree, windows, report):
     assert not obs.is_enabled()
-    root = tree.root
-
     def run_baseline():
         for w in windows:
-            baseline_search(root, w)
+            baseline_search(tree, w)
 
     def run_real():
         for w in windows:
@@ -89,7 +89,7 @@ def test_disabled_overhead_under_10_percent(tree, windows, report):
 
     # Same answers before trusting the timings.
     assert [sorted(tree.search(w)) for w in windows[:20]] == \
-           [sorted(baseline_search(root, w)) for w in windows[:20]]
+           [sorted(baseline_search(tree, w)) for w in windows[:20]]
 
     # Interleave so neither contender owns the warm cache.
     run_baseline(), run_real()

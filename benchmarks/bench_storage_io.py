@@ -78,42 +78,6 @@ def test_pack_fewer_cold_reads(io_table):
     assert io_table["pack"][1] <= io_table["insert"][1] * 1.10
 
 
-@pytest.fixture(scope="module")
-def policy_table(report, items, tmp_path_factory):
-    """Replacement-policy ablation: LRU vs clock on the same workload."""
-    tmp_dir = str(tmp_path_factory.mktemp("policies"))
-    windows = windows_of_selectivity(80, 0.01, seed=18)
-    lines = ["Buffer replacement policy (packed tree, 16-frame pool, "
-             "80 windows)",
-             f"{'policy':>7} | {'phys reads':>10} {'hit rate':>9}"]
-    rows = {}
-    for policy in ("lru", "clock"):
-        tree = DiskRTree(os.path.join(tmp_dir, f"{policy}.db"),
-                         max_entries=32, buffer_capacity=16,
-                         buffer_policy=policy)
-        tree.bulk_load(items)
-        tree.flush()
-        tree.pool.clear()
-        reads0 = tree.pager.reads
-        for w in windows:
-            tree.search(w)
-        reads = tree.pager.reads - reads0
-        rows[policy] = (reads, tree.pool.stats.hit_rate)
-        lines.append(f"{policy:>7} | {reads:>10} "
-                     f"{tree.pool.stats.hit_rate:>9.1%}")
-        tree.close()
-    report("storage_policies", "\n".join(lines))
-    return rows
-
-
-def test_policies_within_factor_two(policy_table):
-    """Clock approximates LRU; neither should be wildly worse."""
-    lru_reads, _ = policy_table["lru"]
-    clock_reads, _ = policy_table["clock"]
-    assert clock_reads <= lru_reads * 2
-    assert lru_reads <= clock_reads * 2
-
-
 def test_disk_window_query_speed(benchmark, items, tmp_path_factory):
     tmp_dir = str(tmp_path_factory.mktemp("diskbench"))
     tree = build(tmp_dir, "bench.db", items, bulk=True)

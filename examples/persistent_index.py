@@ -30,8 +30,8 @@ def main() -> None:
         with DiskRTree(path, page_size=4096) as tree:
             print(f"page capacity -> branching factor {tree.max_entries}")
             tree.bulk_load(items, method="nn")
-            print(f"bulk-loaded {len(tree)} objects: depth {tree.depth()}, "
-                  f"{tree.node_count()} nodes, "
+            print(f"bulk-loaded {len(tree)} objects: depth {tree.depth}, "
+                  f"{tree.node_count} nodes, "
                   f"{tree.pager.page_count} pages on disk")
 
         size = os.path.getsize(path)

@@ -46,8 +46,8 @@ def build_archive(directory: str) -> tuple[str, str]:
             items = [(Rect.from_point(loc), (addr.page << 16) | addr.slot)
                      for loc, addr in addresses]
             tree.bulk_load(items, method="nn")
-            print(f"packed spatial index: {tree.node_count()} nodes on "
-                  f"{tree.pager.page_count} pages, depth {tree.depth()}")
+            print(f"packed spatial index: {tree.node_count} nodes on "
+                  f"{tree.pager.page_count} pages, depth {tree.depth}")
     return cities_path, index_path
 
 

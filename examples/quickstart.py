@@ -10,7 +10,7 @@ dynamically built (Guttman INSERT) tree.
 """
 
 from repro import Point, Rect, RTree, pack
-from repro.rtree import SearchStats, knn_search, window_search
+from repro.rtree import SearchStats, knn_search, node_mbr, window_search
 from repro.rtree.metrics import coverage, overlap
 from repro.viz import ascii_rects
 from repro.workloads import uniform_points
@@ -56,7 +56,9 @@ def main() -> None:
         print(f"  object {oid} at distance {dist:.1f}")
 
     # 6. A terminal picture of the packed leaf MBRs.
-    leaf_rects = [leaf.mbr() for leaf in packed.leaves()]
+    leaf_rects = [Rect(*node_mbr(entries))
+                  for _level, _ref, is_leaf, entries in packed.walk()
+                  if is_leaf]
     print("\npacked leaf MBRs over the universe:")
     print(ascii_rects(leaf_rects[:40], Rect(0, 0, 1000, 1000),
                       cols=72, rows=20))

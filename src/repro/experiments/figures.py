@@ -15,7 +15,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.rotation import distinct_x_count, rotate_points
 from repro.rtree.metrics import coverage
-from repro.rtree.node import Node
 from repro.rtree.packing import pack
 from repro.rtree.search import SearchStats, window_search
 from repro.rtree.theory import (
@@ -23,7 +22,7 @@ from repro.rtree.theory import (
     verify_no_zero_overlap_grouping,
     zero_overlap_partition,
 )
-from repro.rtree.tree import RTree
+from repro.rtree.tree import RTree, node_mbr
 from repro.workloads.clustered import clustered_points
 from repro.workloads.uniform import TABLE1_UNIVERSE, uniform_points
 
@@ -71,9 +70,9 @@ def run_fig34_deadspace(points: Sequence[Point] = FIG34_POINTS,
     packed = pack(items, max_entries=max_entries, method="nn")
     return DeadSpaceResult(
         insert_coverage=coverage(dynamic),
-        insert_leaves=sum(1 for _ in dynamic.leaves()),
+        insert_leaves=sum(leaf for _l, _r, leaf, _e in dynamic.walk()),
         pack_coverage=coverage(packed),
-        pack_leaves=sum(1 for _ in packed.leaves()),
+        pack_leaves=sum(leaf for _l, _r, leaf, _e in packed.walk()),
     )
 
 
@@ -206,14 +205,14 @@ def run_fig38_stages(n: int = 48, seed: int = 8,
     items = [(Rect.from_point(p), i) for i, p in enumerate(pts)]
     tree = pack(items, max_entries=max_entries, method="nn")
 
-    levels: list[tuple[Rect, ...]] = []
-    frontier: list[Node] = list(tree.leaves())
-    while frontier:
-        levels.append(tuple(node.mbr() for node in frontier if node.entries))
-        parents = {id(node.parent): node.parent for node in frontier
-                   if node.parent is not None}
-        frontier = list(parents.values())
-    return PackStages(points=tuple(pts), levels=tuple(levels))
+    levels: list[list[Rect]] = []
+    for level, _ref, _is_leaf, entries in tree.walk():
+        if level == len(levels):
+            levels.append([])
+        if entries:
+            levels[level].append(Rect(*node_mbr(entries)))
+    return PackStages(points=tuple(pts),
+                      levels=tuple(tuple(r) for r in reversed(levels)))
 
 
 # ---------------------------------------------------------------------------

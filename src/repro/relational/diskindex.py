@@ -80,10 +80,10 @@ class DiskSpatialIndex:
         with self._lock:
             return self._tree.knn(point, k, **kwargs)
 
-    def entry_rects(self) -> list[tuple[int, bool, Rect]]:
-        """Snapshot of ``(level, is_leaf_entry, rect)`` for the planner."""
+    def walk(self) -> list[tuple[int, int, bool, tuple]]:
+        """Snapshot of the tree's level-order walk, for the planner."""
         with self._lock:
-            return self._tree.entry_rects()
+            return list(self._tree.walk())
 
     # -- the Section 3.4 update path -----------------------------------------
 

@@ -8,8 +8,8 @@ picture index: per-level aggregate extents (enough for the closed-form
 Minkowski estimate) plus, for small trees, the exact entry rectangles
 (enough for per-node clipping and exact window counts).
 
-Summaries are built by :func:`summarize_index` from an in-memory
-:class:`~repro.rtree.tree.RTree`, a
+Summaries are built by :func:`summarize_index` from the level-order walk
+of an in-memory :class:`~repro.rtree.tree.RTree`, a
 :class:`~repro.storage.disk_rtree.DiskRTree` or a
 :class:`~repro.relational.diskindex.DiskSpatialIndex`, and cached per
 database generation by :meth:`repro.relational.catalog.Database.index_summary`.
@@ -18,7 +18,7 @@ database generation by :meth:`repro.relational.catalog.Database.index_summary`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.geometry.rect import Rect
 from repro.rtree.costmodel import node_visit_probability
@@ -142,24 +142,21 @@ def summarize_index(index: Any, universe: Rect,
                     ) -> IndexSummary:
     """Build an :class:`IndexSummary` for any picture-index flavour.
 
-    Accepts an in-memory :class:`~repro.rtree.tree.RTree` (anything with
-    ``.root``), or a disk-backed tree exposing ``entry_rects()``
-    (:class:`~repro.storage.disk_rtree.DiskRTree` and the
-    :class:`~repro.relational.diskindex.DiskSpatialIndex` wrapper).
+    Reads the index's level-order ``walk()``.  An internal entry is
+    filed under the level of the *child node* it bounds (1 = children of
+    the root), matching the cost model's convention that a node is read
+    when the search descends through its parent entry.
     """
-    if hasattr(index, "root"):
-        entries = _memory_entry_rects(index)
-    else:
-        entries = index.entry_rects()
     per_level: dict[int, list[Rect]] = {}
     leaf_rects: list[Rect] = []
     node_count = 1
-    for level, is_leaf_entry, rect in entries:
-        if is_leaf_entry:
-            leaf_rects.append(rect)
+    for level, _ref, is_leaf, entries in index.walk():
+        rects = [Rect(x1, y1, x2, y2) for x1, y1, x2, y2, _ in entries]
+        if is_leaf:
+            leaf_rects += rects
         else:
-            per_level.setdefault(level, []).append(rect)
-            node_count += 1
+            per_level.setdefault(level + 1, []).extend(rects)
+            node_count += len(rects)
     depth = (max(per_level) if per_level else 0)
     keep = (len(leaf_rects) + sum(len(v) for v in per_level.values())
             <= keep_rects_limit)
@@ -177,28 +174,3 @@ def _agg(rects: list[Rect], keep: bool) -> LevelAgg:
         sum_h=sum(r.height for r in rects),
         sum_wh=sum(r.width * r.height for r in rects),
         rects=tuple(rects) if keep else None)
-
-
-def _memory_entry_rects(tree: Any,
-                        ) -> Iterator[tuple[int, bool, Rect]]:
-    """``(level, is_leaf_entry, rect)`` for every entry of an RTree.
-
-    Internal entries carry the level of the *child node* they bound
-    (1 = children of the root), matching the cost model's convention
-    that a node is read when the search descends through its parent
-    entry.
-    """
-    frontier = [tree.root]
-    level = 1
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for e in node.entries:
-                if node.is_leaf:
-                    yield level, True, e.rect
-                else:
-                    yield level, False, e.rect
-                    assert e.child is not None
-                    nxt.append(e.child)
-        frontier = nxt
-        level += 1

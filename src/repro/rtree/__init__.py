@@ -1,13 +1,13 @@
 """R-trees and the PACK bulk-loading algorithm — the paper's core contribution.
 
 Exports the dynamic :class:`~repro.rtree.tree.RTree` (Guttman INSERT /
-DELETE / SEARCH), the :func:`~repro.rtree.packing.pack` family of bulk
-loaders (Section 3.3), the coverage/overlap metrics of Section 3.1 and the
+DELETE / SEARCH, written once in :class:`~repro.rtree.tree.Tree` over a
+node store), the :func:`~repro.rtree.packing.pack` family of bulk loaders
+(Section 3.3), the coverage/overlap metrics of Section 3.1 and the
 constructive theory results of Section 3.2.
 """
 
-from repro.rtree.node import Entry, Node
-from repro.rtree.tree import RTree
+from repro.rtree.tree import ListStore, RTree, Tree, node_mbr
 from repro.rtree.split import (
     ExhaustiveSplit,
     LinearSplit,
@@ -45,12 +45,6 @@ from repro.rtree.costmodel import (
     measured_window_accesses,
 )
 from repro.rtree.join import JoinStats, spatial_join
-from repro.rtree.serialize import (
-    dict_to_tree,
-    load_tree,
-    save_tree,
-    tree_to_dict,
-)
 from repro.rtree.repack import (RepackResult, local_repack,
                                 local_repack_disk)
 from repro.rtree.theory import (
@@ -62,11 +56,10 @@ from repro.rtree.theory import (
 
 __all__ = [
     "CostEstimate",
-    "Entry",
     "ExhaustiveSplit",
     "JoinStats",
     "LinearSplit",
-    "Node",
+    "ListStore",
     "PACK_METHODS",
     "QuadraticSplit",
     "RStarSplit",
@@ -74,27 +67,25 @@ __all__ = [
     "RepackResult",
     "SearchStats",
     "SplitStrategy",
+    "Tree",
     "TreeReport",
     "TreeStats",
     "ZeroOverlapPartition",
     "analyze",
     "average_nodes_visited",
     "coverage",
-    "dict_to_tree",
     "dump_tree",
     "expected_window_accesses",
     "format_report",
     "get_split_strategy",
     "knn_search",
-    "load_tree",
     "local_repack",
     "local_repack_disk",
     "measured_window_accesses",
+    "node_mbr",
     "overlap",
     "spatial_join",
     "pack",
-    "save_tree",
-    "tree_to_dict",
     "pack_hilbert",
     "pack_lowx",
     "pack_nearest_neighbor",

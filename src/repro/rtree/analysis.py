@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.geometry.rect import Rect
 from repro.geometry.sweep import pairwise_intersections, union_area
-from repro.rtree.node import Node
-from repro.rtree.tree import RTree
+from repro.rtree.tree import Tree, node_mbr
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,6 @@ class LevelStats:
     overlap_counted: float   # pairwise intersection areas, multiplicity
     overlap_union: float     # exact >=2-covered area
     dead_space: float        # coverage minus area actually occupied below
-
-    @property
-    def fill_ratio(self) -> float:
-        return self.entries / self.nodes if self.nodes else 0.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ class TreeReport:
         return self.levels[-1]
 
 
-def analyze(tree: RTree) -> TreeReport:
+def analyze(tree: Tree) -> TreeReport:
     """Compute per-level statistics for *tree*.
 
     Dead space at a level is the sum of node MBR areas minus the union
@@ -56,25 +52,20 @@ def analyze(tree: RTree) -> TreeReport:
     rectangles) — the area the search may enter without finding
     anything.
     """
-    levels: list[list[Node]] = []
-    frontier = [tree.root]
-    while frontier:
-        levels.append(frontier)
-        nxt: list[Node] = []
-        for node in frontier:
-            if not node.is_leaf:
-                nxt.extend(e.child for e in node.entries
-                           if e.child is not None)
-        frontier = nxt
+    levels: list[list] = []
+    for level, _ref, _is_leaf, entries in tree.walk():
+        if level == len(levels):
+            levels.append([])
+        levels[level].append(entries)
 
     stats: list[LevelStats] = []
     for depth, nodes in enumerate(levels):
-        mbrs = [n.mbr() for n in nodes if n.entries]
+        mbrs = [Rect(*node_mbr(n)) for n in nodes if n]
         cov = sum(r.area() for r in mbrs)
         inters = pairwise_intersections(mbrs)
-        below = [e.rect for n in nodes for e in n.entries]
+        below = [Rect(*e[:4]) for n in nodes for e in n]
         occupied = union_area(below)
-        entries = sum(len(n.entries) for n in nodes)
+        entries = sum(len(n) for n in nodes)
         stats.append(LevelStats(
             level=depth,
             nodes=len(nodes),
@@ -89,34 +80,25 @@ def analyze(tree: RTree) -> TreeReport:
                       node_count=tree.node_count, levels=tuple(stats))
 
 
-def dump_tree(tree: RTree, max_entries_shown: int = 4) -> str:
-    """An indented textual dump of the node hierarchy (debugging aid).
+def dump_tree(tree: Tree, max_entries_shown: int = 4) -> str:
+    """A textual dump of the node hierarchy, level by level (debugging
+    aid), indented by level.
 
     Shows each node's MBR and fill; leaf entries are listed up to
     *max_entries_shown* per node, then elided.
     """
     lines: list[str] = []
-
-    def fmt_rect(r) -> str:
-        return f"[{r.x1:g},{r.y1:g} .. {r.x2:g},{r.y2:g}]"
-
-    def walk(node: Node, depth: int) -> None:
-        pad = "  " * depth
-        kind = "leaf" if node.is_leaf else "node"
-        mbr = fmt_rect(node.mbr()) if node.entries else "(empty)"
-        lines.append(f"{pad}{kind} {mbr} ({len(node.entries)} entries)")
-        if node.is_leaf:
-            for e in node.entries[:max_entries_shown]:
-                lines.append(f"{pad}  - {fmt_rect(e.rect)} -> {e.oid!r}")
-            hidden = len(node.entries) - max_entries_shown
+    for level, _ref, is_leaf, entries in tree.walk():
+        pad = "  " * level
+        kind = "leaf" if is_leaf else "node"
+        mbr = str(Rect(*node_mbr(entries))) if entries else "(empty)"
+        lines.append(f"{pad}{kind} {mbr} ({len(entries)} entries)")
+        if is_leaf:
+            for e in entries[:max_entries_shown]:
+                lines.append(f"{pad}  - {Rect(*e[:4])} -> {e[4]!r}")
+            hidden = len(entries) - max_entries_shown
             if hidden > 0:
                 lines.append(f"{pad}  ... {hidden} more")
-        else:
-            for e in node.entries:
-                assert e.child is not None
-                walk(e.child, depth + 1)
-
-    walk(tree.root, 0)
     return "\n".join(lines)
 
 

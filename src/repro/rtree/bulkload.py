@@ -60,10 +60,9 @@ from repro.geometry.rect import Rect
 from repro.rtree.hilbert import hilbert_key
 from repro.rtree.packing import _emit_level, _level_sizes
 from repro.storage import failpoints
-from repro.storage.buffer import BufferPool
 from repro.storage.disk_rtree import (_COMMIT_EVERY, DiskRTree,
                                       _checked_oid, _NodeWriter)
-from repro.storage.pager import PAGE_SIZE, Pager
+from repro.storage.pager import PAGE_SIZE
 
 __all__ = [
     "SORT_KEYS",
@@ -149,12 +148,6 @@ class AdaptiveChoice:
     method: str                          #: hilbert / qslab-x / qslab-y
     sample_size: int                     #: items in the reservoir
     scores: tuple[tuple[str, float], ...]  #: (candidate, cost) pairs
-
-    def score_of(self, name: str) -> float:
-        for candidate, score in self.scores:
-            if candidate == name:
-                return score
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +488,7 @@ def _build_from_stream(tree, leaf_records: Iterator[tuple], count: int,
         level += 1
     (root,) = _emit_level([list(current)], writer.write, is_leaf,
                           level=level)
-    assert root[4] == tree.root_page, "level size precomputation drifted"
+    assert root[4] == tree.root, "level size precomputation drifted"
     tree._size = count
     tree._write_meta()
     return level + 1, writer.nodes_written
@@ -639,16 +632,13 @@ def swap_tree_file(tree, fresh_path: str) -> None:
     path = tree.pager.path
     page_size = tree.pager.page_size
     capacity = tree.pool.capacity
-    policy = tree.pool.policy
     tree.pager.close()
     if failpoints.ACTIVE:
         failpoints.hit(FP_SWAP_BEFORE)
     os.replace(fresh_path, path)
     if failpoints.ACTIVE:
         failpoints.hit(FP_SWAP_AFTER)
-    tree.pager = Pager(path, page_size=page_size,
-                       wal_path=tree._wal_path, wal_sync=tree._wal_sync)
-    tree.pool = BufferPool(tree.pager, capacity=capacity, policy=policy)
+    tree._open(path, page_size, capacity)
     tree._read_meta()
     if obs.ENABLED:
         obs.active().bump("rtree.bulkload.swaps")

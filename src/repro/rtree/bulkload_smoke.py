@@ -47,25 +47,23 @@ def _peak_rss_mb() -> float:
 
 
 def _structure_failures(tree: DiskRTree) -> list[str]:
-    """Theorem 3.2's ``ceil(n/M)`` level chain and the fill bound, at the
-    page-filling fanout the property suites (M 4-16) never reach."""
-    fills: list[list[int]] = []
-    for level, _page, _is_leaf, entries in tree._walk(tree.root_page):
-        if level == len(fills):
-            fills.append([])
-        fills[level].append(len(entries))
-    m = tree.max_entries
-    min_fill = min(tree.min_entries, m // 2)
-    sizes = [len(level) for level in reversed(fills)]
+    """``validate()`` (fill bound, MBRs, page census) and Theorem 3.2's
+    ``ceil(n/M)`` level chain, at the page-filling fanout the property
+    suites (M 4-16) never reach."""
     failures = []
-    if sizes != _level_sizes(len(tree), m):
-        failures.append(f"level sizes {sizes} (leaves first) break the "
-                        f"ceil(n/M) chain {_level_sizes(len(tree), m)}")
-    for depth, level in enumerate(fills):
-        low = 1 if depth == 0 else min_fill
-        if not all(low <= c <= m for c in level):
-            failures.append(f"level {depth} holds a node outside "
-                            f"[{low}, {m}]: fills {min(level)}..{max(level)}")
+    try:
+        tree.validate()
+    except AssertionError as exc:
+        failures.append(f"validate: {exc}")
+    sizes: list[int] = []
+    for level, _page, _is_leaf, _entries in tree.walk():
+        if level == len(sizes):
+            sizes.append(0)
+        sizes[level] += 1
+    chain = _level_sizes(len(tree), tree.max_entries)
+    if sizes[::-1] != chain:
+        failures.append(f"level sizes {sizes[::-1]} (leaves first) break "
+                        f"the ceil(n/M) chain {chain}")
     return failures
 
 

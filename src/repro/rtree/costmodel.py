@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.geometry.rect import Rect
-from repro.rtree.tree import RTree
+from repro.rtree.tree import Tree
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,7 @@ def node_visit_probability(mbr: Rect, window_w: float, window_h: float,
     return (x2 - x1) * (y2 - y1) / universe.area()
 
 
-def expected_accesses_for_mbrs(mbrs: "list[Rect] | tuple[Rect, ...]",
-                               window_w: float, window_h: float,
-                               universe: Rect) -> float:
-    """Expected visits among nodes whose parent-entry MBRs are *mbrs*."""
-    return sum(node_visit_probability(m, window_w, window_h, universe)
-               for m in mbrs)
-
-
-def expected_window_accesses(tree: RTree, window_w: float,
+def expected_window_accesses(tree: Tree, window_w: float,
                              window_h: float,
                              universe: Rect) -> CostEstimate:
     """Expected nodes visited by a uniform random window query.
@@ -85,26 +77,22 @@ def expected_window_accesses(tree: RTree, window_w: float,
     if window_w < 0 or window_h < 0:
         raise ValueError("window extents must be non-negative")
 
-    # Walk levels: the root (probability 1), then every child MBR.
+    # The root (probability 1), then every child MBR, level by level.
     per_level: list[float] = [1.0]
-    frontier = [tree.root]
-    while frontier and not frontier[0].is_leaf:
-        level_sum = 0.0
-        nxt = []
-        for node in frontier:
-            for e in node.entries:
-                level_sum += node_visit_probability(e.rect, window_w,
-                                                    window_h, universe)
-                assert e.child is not None
-                nxt.append(e.child)
-        per_level.append(level_sum)
-        frontier = nxt
+    for level, _ref, is_leaf, entries in tree.walk():
+        if is_leaf:
+            continue
+        if level + 1 == len(per_level):
+            per_level.append(0.0)
+        for x1, y1, x2, y2, _child in entries:
+            per_level[-1] += node_visit_probability(
+                Rect(x1, y1, x2, y2), window_w, window_h, universe)
     return CostEstimate(window_w=window_w, window_h=window_h,
                         expected_accesses=sum(per_level),
                         per_level=tuple(per_level))
 
 
-def measured_window_accesses(tree: RTree, window_w: float, window_h: float,
+def measured_window_accesses(tree: Tree, window_w: float, window_h: float,
                              universe: Rect, samples: int = 200,
                              seed: int = 0) -> float:
     """Monte-Carlo ground truth for :func:`expected_window_accesses`."""

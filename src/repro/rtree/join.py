@@ -8,7 +8,9 @@ processing where the intersection of the indices speeds up the search."
 The join descends both trees in lockstep, pruning any node pair whose
 MBRs do not intersect.  This is sound for every PSQL operator except
 ``disjoined`` (whose qualifying pairs are exactly the ones a lockstep
-descent prunes); the executor handles that one by complementation.
+descent prunes); the executor handles that one by complementation.  Both
+descents read nodes through each tree's store, so either tree may be in
+memory or on disk.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from typing import Any, Callable, Optional
 
 from repro import obs
 from repro.geometry.rect import Rect
-from repro.rtree.node import Node
-from repro.rtree.tree import RTree
+from repro.rtree.tree import Tree, node_mbr
 
 
 JoinPredicate = Callable[[Rect, Rect], bool]
 
 
-def spatial_join(left: RTree, right: RTree,
+def spatial_join(left: Tree, right: Tree,
                  predicate: JoinPredicate = Rect.intersects,
                  stats: Optional["JoinStats"] = None,
                  ) -> list[tuple[Any, Any]]:
@@ -46,7 +47,7 @@ def spatial_join(left: RTree, right: RTree,
     visited0, pruned0, results0 = (stats.pairs_visited, stats.pairs_pruned,
                                    stats.results)
     with obs.timer("rtree.join"):
-        _join(left.root, right.root, predicate, out, stats)
+        _join(left, right, predicate, out, stats)
     if obs.ENABLED:
         reg = obs.active()
         reg.bump("rtree.join.joins")
@@ -84,7 +85,7 @@ class JoinStats:
                 + self.inner_nodes)
 
 
-def nested_window_join(outer: RTree, inner: RTree,
+def nested_window_join(outer: Tree, inner: Tree,
                        predicate: JoinPredicate = Rect.intersects,
                        stats: Optional[JoinStats] = None,
                        ) -> list[tuple[Any, Any]]:
@@ -107,14 +108,31 @@ def nested_window_join(outer: RTree, inner: RTree,
     out: list[tuple[Any, Any]] = []
     outer0, inner0, results0 = (stats.outer_nodes, stats.inner_nodes,
                                 stats.results)
+    fetch = inner.store.fetch
+    check = None if predicate is Rect.intersects else predicate
+
+    def probe(ref: Any, window: Rect, outer_oid: Any) -> None:
+        stats.inner_nodes += 1
+        is_leaf, entries = fetch(ref)
+        wx1, wy1, wx2, wy2 = window
+        for x1, y1, x2, y2, child in entries:
+            if not (x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2):
+                if not is_leaf:
+                    stats.pairs_pruned += 1
+            elif not is_leaf:
+                probe(child, window, outer_oid)
+            elif check is None or check(window, Rect(x1, y1, x2, y2)):
+                out.append((outer_oid, child))
+                stats.results += 1
+
     with obs.timer("rtree.join.nested"):
-        for node in outer.nodes():
+        for _level, _ref, is_leaf, entries in outer.walk():
             stats.outer_nodes += 1
-            if not node.is_leaf:
+            if not is_leaf:
                 continue
-            for e in node.entries:
+            for x1, y1, x2, y2, oid in entries:
                 stats.probes += 1
-                _probe(inner.root, e.rect, e.oid, predicate, out, stats)
+                probe(inner.root, Rect(x1, y1, x2, y2), oid)
     if obs.ENABLED:
         reg = obs.active()
         reg.bump("rtree.join.nested_joins")
@@ -124,55 +142,37 @@ def nested_window_join(outer: RTree, inner: RTree,
     return out
 
 
-def _probe(node: Node, window: Rect, outer_oid: Any,
-           predicate: JoinPredicate, out: list[tuple[Any, Any]],
-           stats: JoinStats) -> None:
-    stats.inner_nodes += 1
-    if node.is_leaf:
-        for e in node.entries:
-            if window.intersects(e.rect) and predicate(window, e.rect):
-                out.append((outer_oid, e.oid))
-                stats.results += 1
-        return
-    for e in node.entries:
-        if e.rect.intersects(window):
-            assert e.child is not None
-            _probe(e.child, window, outer_oid, predicate, out, stats)
-        else:
-            stats.pairs_pruned += 1
-
-
-def _join(a: Node, b: Node, predicate: JoinPredicate,
+def _join(left: Tree, right: Tree, predicate: JoinPredicate,
           out: list[tuple[Any, Any]], stats: JoinStats) -> None:
-    stats.pairs_visited += 1
-    if a.is_leaf and b.is_leaf:
-        for ea in a.entries:
-            for eb in b.entries:
-                if ea.rect.intersects(eb.rect) and predicate(ea.rect, eb.rect):
-                    out.append((ea.oid, eb.oid))
-                    stats.results += 1
-        return
-    # Descend the non-leaf side(s); when both are internal, descend both.
-    if a.is_leaf:
-        for eb in b.entries:
-            if a.mbr().intersects(eb.rect):
-                assert eb.child is not None
-                _join(a, eb.child, predicate, out, stats)
-            else:
-                stats.pairs_pruned += 1
-        return
-    if b.is_leaf:
-        for ea in a.entries:
-            if ea.rect.intersects(b.mbr()):
-                assert ea.child is not None
-                _join(ea.child, b, predicate, out, stats)
-            else:
-                stats.pairs_pruned += 1
-        return
-    for ea in a.entries:
-        for eb in b.entries:
-            if ea.rect.intersects(eb.rect):
-                assert ea.child is not None and eb.child is not None
-                _join(ea.child, eb.child, predicate, out, stats)
-            else:
-                stats.pairs_pruned += 1
+    """The lockstep descent; a leaf side holds, as one pseudo-entry
+    bounding the whole leaf, while the other side descends."""
+    fetch_l, fetch_r = left.store.fetch, right.store.fetch
+    check = None if predicate is Rect.intersects else predicate
+
+    def join(a: Any, b: Any) -> None:
+        stats.pairs_visited += 1
+        a_leaf, a_entries = fetch_l(a)
+        b_leaf, b_entries = fetch_r(b)
+        if a_leaf and b_leaf:
+            for ax1, ay1, ax2, ay2, a_oid in a_entries:
+                for bx1, by1, bx2, by2, b_oid in b_entries:
+                    if (ax1 <= bx2 and bx1 <= ax2 and ay1 <= by2
+                            and by1 <= ay2
+                            and (check is None
+                                 or check(Rect(ax1, ay1, ax2, ay2),
+                                          Rect(bx1, by1, bx2, by2)))):
+                        out.append((a_oid, b_oid))
+                        stats.results += 1
+            return
+        if a_leaf:
+            a_entries = [node_mbr(a_entries) + (a,)]
+        elif b_leaf:
+            b_entries = [node_mbr(b_entries) + (b,)]
+        for ax1, ay1, ax2, ay2, a_child in a_entries:
+            for bx1, by1, bx2, by2, b_child in b_entries:
+                if ax1 <= bx2 and bx1 <= ax2 and ay1 <= by2 and by1 <= ay2:
+                    join(a_child, b_child)
+                else:
+                    stats.pairs_pruned += 1
+
+    join(left.root, right.root)

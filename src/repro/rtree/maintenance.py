@@ -113,14 +113,10 @@ def pick_region(db: Any, picture_name: str, relation_name: str,
     top level shows no overlap at all (degradation then lives deeper;
     a whole-tree rebuild is the safe answer).
     """
-    from repro.relational.stats import _memory_entry_rects
-
     index = db.picture(picture_name).index(relation_name, column)
-    entries = (_memory_entry_rects(index) if hasattr(index, "root")
-               else index.entry_rects())
-    roots = [rect for level, is_leaf, rect in entries
-             if level == 1 and not is_leaf]
-    return worst_overlap_rect(roots)
+    _level, _ref, is_leaf, entries = next(iter(index.walk()))
+    return worst_overlap_rect(
+        [] if is_leaf else [Rect(*e[:4]) for e in entries])
 
 
 def worst_overlap_rect(rects: list[Rect]) -> Optional[Rect]:

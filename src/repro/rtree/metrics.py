@@ -28,20 +28,22 @@ from typing import Iterable, Sequence
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.sweep import pairwise_intersections, union_area
-from repro.rtree.tree import RTree
+from repro.rtree.tree import Tree, node_mbr
 
 
-def leaf_mbrs(tree: RTree) -> list[Rect]:
-    """The MBR of every leaf node (empty leaves are skipped)."""
-    return [leaf.mbr() for leaf in tree.leaves() if leaf.entries]
+def leaf_mbrs(tree: Tree) -> list[Rect]:
+    """The MBR of every leaf node, left to right (empty leaves skipped)."""
+    return [Rect(*node_mbr(entries))
+            for _level, _ref, is_leaf, entries in tree.walk()
+            if is_leaf and entries]
 
 
-def coverage(tree: RTree) -> float:
+def coverage(tree: Tree) -> float:
     """Total area of all leaf-node MBRs (Table 1's C column)."""
     return sum(r.area() for r in leaf_mbrs(tree))
 
 
-def overlap(tree: RTree, method: str = "counted") -> float:
+def overlap(tree: Tree, method: str = "counted") -> float:
     """Area contained in two or more leaf MBRs (Table 1's O column).
 
     Args:
@@ -59,7 +61,7 @@ def overlap(tree: RTree, method: str = "counted") -> float:
                      f"choose 'counted' or 'union'")
 
 
-def average_nodes_visited(tree: RTree, queries: Iterable[Point]) -> float:
+def average_nodes_visited(tree: Tree, queries: Iterable[Point]) -> float:
     """Mean node accesses over point queries (Table 1's A column).
 
     Each query is the paper's "Is point (x, y) contained in the database?"
@@ -93,7 +95,7 @@ class TreeStats:
                 self.node_count, self.avg_nodes_visited)
 
 
-def tree_stats(tree: RTree, queries: Sequence[Point]) -> TreeStats:
+def tree_stats(tree: Tree, queries: Sequence[Point]) -> TreeStats:
     """Measure every Table 1 column for *tree* under the given queries."""
     rects = leaf_mbrs(tree)
     inters = pairwise_intersections(rects)

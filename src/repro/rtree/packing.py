@@ -28,11 +28,10 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro import obs
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect, mbr_of_rects
+from repro.geometry.rect import Rect
 from repro.rtree.hilbert import hilbert_key
-from repro.rtree.node import Entry, Node
 from repro.rtree.split import SplitStrategy
-from repro.rtree.tree import RTree
+from repro.rtree.tree import Entry, ListStore, RTree, node_mbr
 
 Item = tuple[Rect, Any]
 DistanceFn = Callable[[Rect, Rect], float]
@@ -59,6 +58,11 @@ _DISTANCES: dict[str, DistanceFn] = {
 }
 
 
+def _center(e: Entry) -> tuple[float, float]:
+    """Centre of an entry's rectangle (what :meth:`Rect.center` computes)."""
+    return (e[0] + e[2]) / 2.0, (e[1] + e[3]) / 2.0
+
+
 # ---------------------------------------------------------------------------
 # Grouping strategies: each maps a list of entries to a list of groups of
 # size <= M, which _emit_level turns into one node per group.
@@ -74,24 +78,23 @@ def _group_nearest_neighbor(entries: list[Entry], max_entries: int,
     neighbours.  A uniform grid over entry centres accelerates the NN scan
     from O(n) to near O(1) per query without changing the result.
     """
-    ordered = sorted(entries, key=lambda e: (e.rect.center().x,
-                                             e.rect.center().y))
+    ordered = sorted(entries, key=_center)
     if len(ordered) <= max_entries:
         return [ordered]
     finder = _NeighborFinder(ordered, distance)
     groups: list[list[Entry]] = []
     while finder:
         seed = finder.pop_first()
-        group = [seed]
+        group = [ordered[seed]]
         while len(group) < max_entries and finder:
-            group.append(finder.pop_nearest(seed))
+            group.append(ordered[finder.pop_nearest(seed)])
         groups.append(group)
     return groups
 
 
 class _NeighborFinder:
-    """Mutable set of entries supporting pop-first (by the presorted order)
-    and pop-nearest-to-seed queries.
+    """Mutable set of entry positions supporting pop-first (by the
+    presorted order) and pop-nearest-to-seed queries.
 
     Uses a uniform grid bucketed by entry centres.  Grid cell size is
     chosen so the expected occupancy is a few entries per cell; the search
@@ -103,11 +106,10 @@ class _NeighborFinder:
 
     def __init__(self, ordered: Sequence[Entry], distance: DistanceFn):
         self._distance = distance
-        self._prunable = distance is _center_distance
+        self._rects = [Rect(e[0], e[1], e[2], e[3]) for e in ordered]
         self._alive: dict[int, Entry] = dict(enumerate(ordered))
-        self._order = list(range(len(ordered)))
-        self._order_pos = 0
-        if self._prunable and len(ordered) > 64:
+        self._next = 0
+        if distance is _center_distance and len(ordered) > 64:
             self._grid: Optional[_CenterGrid] = _CenterGrid(ordered)
         else:
             self._grid = None
@@ -115,38 +117,36 @@ class _NeighborFinder:
     def __bool__(self) -> bool:
         return bool(self._alive)
 
-    def pop_first(self) -> Entry:
-        """Remove and return the first still-alive entry in sorted order."""
-        while True:
-            idx = self._order[self._order_pos]
-            self._order_pos += 1
-            if idx in self._alive:
-                return self._pop(idx)
+    def pop_first(self) -> int:
+        """Remove and return the first still-alive position in sorted order."""
+        while self._next not in self._alive:
+            self._next += 1
+        return self._pop(self._next)
 
-    def pop_nearest(self, seed: Entry) -> Entry:
-        """Remove and return the entry nearest to *seed* (the paper's NN)."""
+    def pop_nearest(self, seed: int) -> int:
+        """Remove and return the position nearest *seed* (the paper's NN)."""
         if obs.ENABLED:
             obs.active().bump("rtree.pack.nn_scans")
         if self._grid is not None:
-            idx = self._grid.nearest(seed.rect.center(), self._alive)
+            idx = self._grid.nearest(self._grid.center(seed), self._alive)
         else:
+            rects = self._rects
             idx = min(self._alive,
-                      key=lambda i: self._distance(seed.rect,
-                                                   self._alive[i].rect))
+                      key=lambda i: self._distance(rects[seed], rects[i]))
         return self._pop(idx)
 
-    def _pop(self, idx: int) -> Entry:
-        entry = self._alive.pop(idx)
+    def _pop(self, idx: int) -> int:
+        del self._alive[idx]
         if self._grid is not None:
             self._grid.discard(idx)
-        return entry
+        return idx
 
 
 class _CenterGrid:
     """Uniform grid over entry centres for accelerated nearest-neighbour."""
 
     def __init__(self, entries: Sequence[Entry]):
-        centers = [e.rect.center() for e in entries]
+        centers = [Point(*_center(e)) for e in entries]
         xs = [c.x for c in centers]
         ys = [c.y for c in centers]
         self._x0 = min(xs)
@@ -167,6 +167,9 @@ class _CenterGrid:
         self._centers = centers
         for i, c in enumerate(centers):
             self._cells.setdefault(self._cell_of(c), set()).add(i)
+
+    def center(self, idx: int) -> Point:
+        return self._centers[idx]
 
     def _cell_of(self, p: Point) -> tuple[int, int]:
         cx = min(self._nx - 1, max(0, int((p.x - self._x0) / self._cw)))
@@ -236,8 +239,7 @@ class _CenterGrid:
 def _group_lowx(entries: list[Entry], max_entries: int,
                 _distance: DistanceFn) -> list[list[Entry]]:
     """Plain ascending-x run packing: consecutive runs of M entries."""
-    ordered = sorted(entries, key=lambda e: (e.rect.center().x,
-                                             e.rect.center().y))
+    ordered = sorted(entries, key=_center)
     return [ordered[i:i + max_entries]
             for i in range(0, len(ordered), max_entries)]
 
@@ -249,10 +251,11 @@ def _group_str(entries: list[Entry], max_entries: int,
     leaf_count = math.ceil(n / max_entries)
     slab_count = max(1, math.ceil(math.sqrt(leaf_count)))
     slab_size = slab_count * max_entries
-    by_x = sorted(entries, key=lambda e: e.rect.center().x)
+    by_x = sorted(entries, key=lambda e: (e[0] + e[2]) / 2.0)
     groups: list[list[Entry]] = []
     for s in range(0, n, slab_size):
-        slab = sorted(by_x[s:s + slab_size], key=lambda e: e.rect.center().y)
+        slab = sorted(by_x[s:s + slab_size],
+                      key=lambda e: (e[1] + e[3]) / 2.0)
         for i in range(0, len(slab), max_entries):
             groups.append(slab[i:i + max_entries])
     return groups
@@ -261,9 +264,10 @@ def _group_str(entries: list[Entry], max_entries: int,
 def _group_hilbert(entries: list[Entry], max_entries: int,
                    _distance: DistanceFn) -> list[list[Entry]]:
     """Hilbert-value run packing over entry centres."""
-    universe = mbr_of_rects(e.rect for e in entries)
+    universe = Rect(min(e[0] for e in entries), min(e[1] for e in entries),
+                    max(e[2] for e in entries), max(e[3] for e in entries))
     ordered = sorted(entries,
-                     key=lambda e: hilbert_key(e.rect.center(), universe))
+                     key=lambda e: hilbert_key(Point(*_center(e)), universe))
     return [ordered[i:i + max_entries]
             for i in range(0, len(ordered), max_entries)]
 
@@ -312,21 +316,23 @@ def pack(items: Iterable[Item], max_entries: int = 4,
     """
     group_fn = _lookup_method(method)
     distance_fn = _lookup_distance(distance)
-    entries = [Entry(rect=rect, oid=oid) for rect, oid in items]
+    entries = [(*rect, oid) for rect, oid in items]
+    tree = RTree(max_entries=max_entries, min_entries=min_entries,
+                 split=split)
     if not entries:
-        return RTree(max_entries=max_entries, min_entries=min_entries,
-                     split=split)
+        return tree
     with obs.timer("rtree.pack.build"):
+        tree.store = ListStore()
         root, _height = _pack_levels(entries, max_entries, group_fn,
-                                     distance_fn, _node_sink)
+                                     distance_fn, tree._new_node)
+    tree.root, tree._size = root[4], len(entries)
     if obs.ENABLED:
         reg = obs.active()
         reg.bump("rtree.pack.builds")
         reg.bump("rtree.pack.items", len(entries))
         reg.trace("rtree.pack", method=method, items=len(entries),
                   max_entries=max_entries)
-    return RTree.from_root(root.child, max_entries=max_entries,
-                           min_entries=min_entries, split=split)
+    return tree
 
 
 def _lookup_method(method: str) -> GroupFn:
@@ -346,7 +352,7 @@ def _lookup_distance(distance: str) -> DistanceFn:
 
 
 #: A node sink: writes one node holding *group* and returns the entry its
-#: parent stores for it (an :class:`Entry` for :func:`_pack_levels`).
+#: parent stores for it.
 Sink = Callable[[list, bool], Any]
 
 
@@ -400,14 +406,6 @@ def _pack_levels(entries: list[Entry], max_entries: int, group_fn: GroupFn,
         level += 1
     (root,) = _emit_level([entries], sink, is_leaf, level=level)
     return root, level
-
-
-def _node_sink(group: list[Entry], is_leaf: bool) -> Entry:
-    """The memory sink: one :class:`Node` per group."""
-    node = Node(is_leaf=is_leaf)
-    for e in group:
-        node.add(e)
-    return Entry(rect=node.mbr(), child=node)
 
 
 def _level_sizes(n: int, max_entries: int) -> list[int]:

@@ -9,19 +9,27 @@ possible showing for the dynamic baseline).
 
 All strategies guarantee each side receives at least ``min_entries``
 entries so Guttman's "m-filled" requirement (Section 3.2, requirement 1)
-is preserved.
+is preserved.  They split the tree's flat ``(x1, y1, x2, y2, ref)``
+entries; each algorithm sees an entry as an item with a ``.rect``, built
+once per split, and the groups come back as the original entries.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.geometry.rect import Rect, mbr_of_rects
-from repro.rtree.node import Entry
 
-Split = tuple[list[Entry], list[Entry]]
+Split = tuple[list, list]
+
+
+class _Item(NamedTuple):
+    """One entry as the algorithms see it: its rectangle, and itself."""
+
+    rect: Rect
+    entry: tuple
 
 
 class SplitStrategy(ABC):
@@ -29,23 +37,30 @@ class SplitStrategy(ABC):
 
     name: str = "abstract"
 
-    @abstractmethod
-    def split(self, entries: Sequence[Entry], min_entries: int) -> Split:
+    def split(self, entries: Sequence[tuple], min_entries: int) -> Split:
         """Partition *entries* into two non-empty groups.
 
         Both groups contain at least *min_entries* entries; together they
         contain every input entry exactly once.
-        """
 
-    @staticmethod
-    def _validate(entries: Sequence[Entry], min_entries: int) -> None:
+        Raises:
+            ValueError: when fewer than ``2 * min_entries`` entries are given.
+        """
         if len(entries) < 2 * min_entries:
             raise ValueError(
                 f"cannot split {len(entries)} entries with minimum fill "
                 f"{min_entries}")
+        g1, g2 = self._split(
+            [_Item(Rect(e[0], e[1], e[2], e[3]), e) for e in entries],
+            min_entries)
+        return [i.entry for i in g1], [i.entry for i in g2]
+
+    @abstractmethod
+    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
+        """The algorithm proper, over items with a ``.rect``."""
 
 
-def _group_mbr(entries: Sequence[Entry]) -> Rect:
+def _group_mbr(entries: Sequence[_Item]) -> Rect:
     return mbr_of_rects(e.rect for e in entries)
 
 
@@ -59,8 +74,7 @@ class ExhaustiveSplit(SplitStrategy):
 
     name = "exhaustive"
 
-    def split(self, entries: Sequence[Entry], min_entries: int) -> Split:
-        self._validate(entries, min_entries)
+    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
         n = len(entries)
         indices = range(n)
         best: Split | None = None
@@ -86,8 +100,7 @@ class QuadraticSplit(SplitStrategy):
 
     name = "quadratic"
 
-    def split(self, entries: Sequence[Entry], min_entries: int) -> Split:
-        self._validate(entries, min_entries)
+    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
         remaining = list(entries)
         seed_a, seed_b = self._pick_seeds(remaining)
         # Remove the later index first so positions stay valid.
@@ -128,7 +141,7 @@ class QuadraticSplit(SplitStrategy):
         return g1, g2
 
     @staticmethod
-    def _pick_seeds(entries: Sequence[Entry]) -> tuple[int, int]:
+    def _pick_seeds(entries: Sequence[_Item]) -> tuple[int, int]:
         """The pair wasting the most area if grouped together."""
         best = (0, 1)
         best_waste = -float("inf")
@@ -144,7 +157,7 @@ class QuadraticSplit(SplitStrategy):
         return best
 
     @staticmethod
-    def _pick_next(remaining: Sequence[Entry], mbr1: Rect, mbr2: Rect) -> int:
+    def _pick_next(remaining: Sequence[_Item], mbr1: Rect, mbr2: Rect) -> int:
         """The entry with the strongest preference for one group."""
         best_idx = 0
         best_diff = -1.0
@@ -161,8 +174,7 @@ class LinearSplit(SplitStrategy):
 
     name = "linear"
 
-    def split(self, entries: Sequence[Entry], min_entries: int) -> Split:
-        self._validate(entries, min_entries)
+    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
         remaining = list(entries)
         seed_a, seed_b = self._linear_pick_seeds(remaining)
         for idx in sorted((seed_a, seed_b), reverse=True):
@@ -187,13 +199,13 @@ class LinearSplit(SplitStrategy):
         return g1, g2
 
     @staticmethod
-    def _enforce_min_fill(small: list[Entry], large: list[Entry],
+    def _enforce_min_fill(small: list[_Item], large: list[_Item],
                           min_entries: int) -> None:
         while len(small) < min_entries:
             small.append(large.pop())
 
     @staticmethod
-    def _linear_pick_seeds(entries: Sequence[Entry]) -> tuple[int, int]:
+    def _linear_pick_seeds(entries: Sequence[_Item]) -> tuple[int, int]:
         """Pair with greatest normalised separation along either axis."""
         def extremes(lo_key, hi_key):
             # Index of highest low side and lowest high side.
@@ -238,8 +250,7 @@ class RStarSplit(SplitStrategy):
 
     name = "rstar"
 
-    def split(self, entries: Sequence[Entry], min_entries: int) -> Split:
-        self._validate(entries, min_entries)
+    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
         best_axis_distributions = None
         best_margin = float("inf")
         for axis in ("x", "y"):
@@ -269,8 +280,8 @@ class RStarSplit(SplitStrategy):
         return best
 
     @staticmethod
-    def _distributions(entries: Sequence[Entry], min_entries: int,
-                       axis: str) -> list[tuple[list[Entry], list[Entry]]]:
+    def _distributions(entries: Sequence[_Item], min_entries: int,
+                       axis: str) -> list[tuple[list[_Item], list[_Item]]]:
         """Every legal (first k, rest) cut of the two per-axis sortings."""
         if axis == "x":
             lower_key = (lambda e: (e.rect.x1, e.rect.x2))

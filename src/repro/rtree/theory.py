@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -22,6 +21,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect, mbr_of_points
 from repro.geometry.region import Region
 from repro.geometry.rotation import distinct_x_rotation, rotate_points
+from repro.rtree.packing import _level_sizes
 
 
 @dataclass(frozen=True)
@@ -162,27 +162,12 @@ def expected_pack_node_count(n: int, fanout: int) -> int:
     """Node count of a perfectly packed tree over *n* objects.
 
     The geometric series the paper's N column follows for PACK:
-    ``ceil(n/M) + ceil(ceil(n/M)/M) + ... + 1``.
+    ``ceil(n/M) + ceil(ceil(n/M)/M) + ... + 1`` (the empty tree still has
+    its root).
     """
-    if n <= 0:
-        return 1  # the empty tree still has its root
-    total = 0
-    level = n
-    while level > 1:
-        level = math.ceil(level / fanout)
-        total += level
-    if total == 0:
-        total = 1  # n <= fanout: just the root
-    return total
+    return sum(_level_sizes(n, fanout))
 
 
 def expected_pack_depth(n: int, fanout: int) -> int:
     """Depth (edges root to leaves) of a perfectly packed tree."""
-    if n <= fanout:
-        return 0
-    depth = 0
-    level = n
-    while level > fanout:
-        level = math.ceil(level / fanout)
-        depth += 1
-    return depth
+    return len(_level_sizes(n, fanout)) - 1

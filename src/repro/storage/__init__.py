@@ -8,11 +8,13 @@ the 1985-style storage stack needed to measure that claim:
 - :class:`~repro.storage.pager.Pager` — fixed-size pages in a single file
   with allocation, free-list reuse and checksummed headers.
 - :class:`~repro.storage.buffer.BufferPool` — an LRU page cache with
-  hit/miss/eviction accounting (the I/O numbers of experiment E16).
+  hit/miss/eviction accounting (the I/O numbers of experiment E16) whose
+  frames can keep a page's decoded image.
 - :mod:`~repro.storage.serial` — binary (de)serialisation of R-tree nodes
   into pages via :mod:`struct`.
-- :class:`~repro.storage.disk_rtree.DiskRTree` — a persistent R-tree whose
-  nodes live on pages and are faulted in through the buffer pool.
+- :class:`~repro.storage.disk_rtree.DiskRTree` — the R-tree of
+  :mod:`repro.rtree.tree` on a page store: nodes live on pages and are
+  faulted in through the buffer pool.
 - :class:`~repro.storage.wal.WriteAheadLog` — page-level redo logging
   with checksummed records, commit/checkpoint, and replay on open.
 - :mod:`~repro.storage.failpoints` — named crash/IO-error/torn-write
@@ -29,10 +31,9 @@ from repro.storage.pager import (
 )
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.serial import (
-    NodeRecord,
-    deserialize_node,
+    decode_node,
+    encode_node,
     max_entries_per_page,
-    serialize_node,
 )
 from repro.storage.disk_rtree import DiskRTree
 from repro.storage.heapfile import HeapFile, HeapFileError, RowAddress
@@ -48,7 +49,6 @@ __all__ = [
     "HeapFileError",
     "InjectedFault",
     "InvalidPageError",
-    "NodeRecord",
     "PAGE_SIZE",
     "Page",
     "Pager",
@@ -57,7 +57,7 @@ __all__ = [
     "SimulatedCrash",
     "WalError",
     "WriteAheadLog",
-    "deserialize_node",
+    "decode_node",
+    "encode_node",
     "max_entries_per_page",
-    "serialize_node",
 ]

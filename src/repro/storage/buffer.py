@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro import obs
 from repro.obs import Counters
@@ -107,18 +107,21 @@ class _Frame:
     payload: bytes
     dirty: bool = False
     pins: int = 0
-    referenced: bool = True  # clock policy's second-chance bit
+    #: ``decode(payload)``, kept until the payload changes (see
+    #: :meth:`BufferPool.get_decoded`)
+    decoded: Any = None
 
 
 class BufferPool:
-    """A fixed-capacity page cache with a pluggable replacement policy.
+    """A fixed-capacity LRU page cache.
 
     Args:
         pager: the underlying page store.
         capacity: maximum number of resident pages.  Must be positive.
-        policy: ``"lru"`` (default) or ``"clock"`` (second-chance).
-            Clock approximates LRU at O(1) bookkeeping per hit — the
-            policy most 1980s database buffers actually shipped.
+
+    A frame can also hold its page's decoded image beside the bytes
+    (:meth:`get_decoded`), so a page is decoded once per load rather than
+    once per read.
 
     Pages may be *pinned* while a caller holds a reference; pinned pages
     are never evicted.  Requesting more pinned pages than the capacity
@@ -134,26 +137,14 @@ class BufferPool:
     tree update racing a search) is the caller's concern.
     """
 
-    def __init__(self, pager: Pager, capacity: int = 64,
-                 policy: str = "lru"):
+    def __init__(self, pager: Pager, capacity: int = 64):
         if capacity < 1:
             raise ValueError("buffer pool capacity must be positive")
-        if policy not in ("lru", "clock"):
-            raise ValueError(f"unknown replacement policy {policy!r}; "
-                             f"choose 'lru' or 'clock'")
         self.pager = pager
         self.capacity = capacity
-        self.policy = policy
         self.stats = BufferStats()
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
-        # Clock state: an explicit ring of page ids plus the hand's slot
-        # index.  The ring is stable across evictions (a victim's slot is
-        # reused by the page that replaces it), so the hand always points
-        # at a meaningful position — indexing a freshly rebuilt key list
-        # with a stale hand made second-chance fairness near-random.
-        self._clock_ring: list[int] = []
-        self._clock_hand = 0
-        # Re-entrant: pin() faults pages in through get().
+        # Re-entrant: pin() and get_decoded() fault pages in through get().
         self._lock = threading.RLock()
 
     # -- reads -------------------------------------------------------------
@@ -166,7 +157,7 @@ class BufferPool:
                 self.stats.hits += 1
                 if obs.ENABLED:
                     obs.active().bump("storage.buffer.hits")
-                self._touch(page_no, frame)
+                self._frames.move_to_end(page_no)
                 return frame.payload
             self.stats.misses += 1
             if obs.ENABLED:
@@ -175,18 +166,38 @@ class BufferPool:
             self._install(page_no, _Frame(payload=payload))
             return payload
 
+    def get_decoded(self, page_no: int, decode: Callable[[bytes], Any]):
+        """``decode(payload)`` of *page_no*, decoded once per load.
+
+        The read goes through :meth:`get`, so it counts as a hit or a
+        miss like any other; the decoded image is kept in the frame until
+        the page is written, invalidated or evicted.
+        """
+        with self._lock:
+            payload = self.get(page_no)
+            frame = self._frames[page_no]
+            if frame.decoded is None:
+                frame.decoded = decode(payload)
+            return frame.decoded
+
     # -- writes -------------------------------------------------------------
 
-    def put(self, page_no: int, payload: bytes) -> None:
-        """Stage *payload* for *page_no*; written back on eviction/flush."""
+    def put(self, page_no: int, payload: bytes, decoded: Any = None) -> None:
+        """Stage *payload* for *page_no*; written back on eviction/flush.
+
+        *decoded*, when given, is the payload's decoded image, so the
+        next :meth:`get_decoded` need not decode what was just written.
+        """
         with self._lock:
             frame = self._frames.get(page_no)
             if frame is not None:
                 frame.payload = payload
+                frame.decoded = decoded
                 frame.dirty = True
-                self._touch(page_no, frame)
+                self._frames.move_to_end(page_no)
                 return
-            self._install(page_no, _Frame(payload=payload, dirty=True))
+            self._install(page_no, _Frame(payload=payload, dirty=True,
+                                          decoded=decoded))
 
     # -- pinning -------------------------------------------------------------
 
@@ -226,16 +237,13 @@ class BufferPool:
     def invalidate(self, page_no: int) -> None:
         """Drop *page_no* without writing it back (used after free())."""
         with self._lock:
-            if self._frames.pop(page_no, None) is not None:
-                self._ring_remove(page_no)
+            self._frames.pop(page_no, None)
 
     def clear(self) -> None:
         """Flush and drop every frame (cold-cache the pool)."""
         with self._lock:
             self.flush()
             self._frames.clear()
-            self._clock_ring.clear()
-            self._clock_hand = 0
 
     @property
     def resident(self) -> int:
@@ -243,32 +251,15 @@ class BufferPool:
 
     # -- internals -----------------------------------------------------------
 
-    def _touch(self, page_no: int, frame: _Frame) -> None:
-        """Record a reference according to the replacement policy."""
-        if self.policy == "lru":
-            self._frames.move_to_end(page_no)
-        else:
-            frame.referenced = True
-
     def _install(self, page_no: int, frame: _Frame) -> None:
-        reuse_slot: int | None = None
         while len(self._frames) >= self.capacity:
-            reuse_slot = self._evict_one()
+            self._evict_one()
         self._frames[page_no] = frame
-        if self.policy == "clock":
-            if reuse_slot is not None:
-                # The new page takes over its victim's ring slot, and the
-                # hand stays there: the replacement is swept first next
-                # time, so pages re-referenced since the last sweep keep
-                # their second chance.
-                self._clock_ring[reuse_slot] = page_no
-            else:
-                self._clock_ring.append(page_no)
 
-    def _evict_one(self) -> int | None:
-        """Evict one unpinned page; its ring slot index (clock only)."""
-        victim_no = (self._pick_lru_victim() if self.policy == "lru"
-                     else self._pick_clock_victim())
+    def _evict_one(self) -> None:
+        """Evict the least recently used unpinned page."""
+        victim_no = next((page_no for page_no, frame in self._frames.items()
+                          if frame.pins == 0), None)
         if victim_no is None:
             raise BufferFullError(
                 f"all {self.capacity} buffer frames are pinned")
@@ -282,62 +273,6 @@ class BufferPool:
         self.stats.evictions += 1
         if obs.ENABLED:
             obs.active().bump("storage.buffer.evictions")
-        return self._clock_hand if self.policy == "clock" else None
-
-    def _pick_lru_victim(self) -> int | None:
-        for page_no, frame in self._frames.items():
-            if frame.pins == 0:
-                return page_no
-        return None
-
-    def _pick_clock_victim(self) -> int | None:
-        """Second-chance sweep: clear reference bits until one is cold.
-
-        Sweeps ``self._clock_ring`` — a stable circular order of page
-        ids — resuming where the last sweep stopped.  On success the
-        hand is left **on the victim's slot**; ``_install`` places the
-        replacement page there.
-        """
-        ring = self._clock_ring
-        idx = self._clock_hand
-        checks = 0
-        # Two full sweeps suffice: the first clears reference bits, the
-        # second must find a victim unless everything is pinned.
-        while ring and checks < 2 * len(ring):
-            if idx >= len(ring):
-                idx = 0
-            page_no = ring[idx]
-            frame = self._frames.get(page_no)
-            if frame is None:
-                # Stale slot (defensive; invalidate() removes eagerly).
-                ring.pop(idx)
-                continue
-            checks += 1
-            if frame.pins > 0:
-                idx = (idx + 1) % len(ring)
-                continue
-            if frame.referenced:
-                frame.referenced = False
-                idx = (idx + 1) % len(ring)
-                continue
-            self._clock_hand = idx
-            return page_no
-        self._clock_hand = idx if idx < len(ring) else 0
-        return None
-
-    def _ring_remove(self, page_no: int) -> None:
-        """Drop a page from the clock ring, keeping the hand in place."""
-        if self.policy != "clock":
-            return
-        try:
-            idx = self._clock_ring.index(page_no)
-        except ValueError:
-            return
-        self._clock_ring.pop(idx)
-        if idx < self._clock_hand:
-            self._clock_hand -= 1
-        elif self._clock_hand >= len(self._clock_ring):
-            self._clock_hand = 0
 
 
 class BufferFullError(Exception):

@@ -17,27 +17,12 @@ reference tuples.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 _HEADER = struct.Struct("<BH")
 _ENTRY = struct.Struct("<ddddQ")
 _NODE_HEADER_SIZE = _HEADER.size
 _ENTRY_SIZE = _ENTRY.size
-
-
-@dataclass(frozen=True)
-class NodeRecord:
-    """A serialisable node image.
-
-    Attributes:
-        is_leaf: leaf flag.
-        entries: ``(x1, y1, x2, y2, pointer)`` tuples; *pointer* is a
-            child page number for interior nodes and an object id at the
-            leaf level.
-    """
-
-    is_leaf: bool
-    entries: tuple[tuple[float, float, float, float, int], ...]
 
 
 def max_entries_per_page(page_payload_size: int) -> int:
@@ -53,36 +38,66 @@ def max_entries_per_page(page_payload_size: int) -> int:
     return usable // _ENTRY_SIZE
 
 
-def serialize_node(record: NodeRecord) -> bytes:
-    """Encode *record* as a page payload."""
-    if len(record.entries) > 0xFFFF:
+def encode_node(is_leaf: bool, entries) -> bytes:
+    """Encode a node — its leaf flag and ``(x1, y1, x2, y2, pointer)``
+    entries — as a page payload."""
+    if len(entries) > 0xFFFF:
         raise ValueError("entry count exceeds the u16 on-disk field")
-    parts = [_HEADER.pack(int(record.is_leaf), len(record.entries))]
+    parts = [_HEADER.pack(int(is_leaf), len(entries))]
     pack = _ENTRY.pack
-    for x1, y1, x2, y2, pointer in record.entries:
+    for x1, y1, x2, y2, pointer in entries:
         if pointer < 0:
             raise ValueError("on-disk pointers must be non-negative")
         parts.append(pack(x1, y1, x2, y2, pointer))
     return b"".join(parts)
 
 
-def deserialize_node(payload: bytes) -> NodeRecord:
-    """Decode a page payload produced by :func:`serialize_node`.
+class PageEntries(Sequence):
+    """A node page's ``(x1, y1, x2, y2, pointer)`` entries.
 
-    Raises:
-        ValueError: on truncated or inconsistent payloads.
+    The first pass over a freshly read page unpacks the entries straight
+    off its bytes, tuple by tuple; any later access decodes them once into
+    a tuple that is kept.  A buffer frame holds this beside the page's
+    bytes, so a page read once while resident costs no more than that one
+    streamed pass, and a page read again is decoded once.
     """
-    is_leaf, _count, entries = iter_node_entries(payload)
-    return NodeRecord(is_leaf=is_leaf, entries=tuple(entries))
+
+    __slots__ = ("_view", "_count", "_decoded", "_read")
+
+    def __init__(self, view: memoryview, count: int):
+        self._view = view
+        self._count = count
+        self._decoded: tuple[tuple, ...] | None = None
+        self._read = False
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        if self._decoded is not None:
+            return iter(self._decoded)
+        if not self._read:
+            self._read = True
+            return _ENTRY.iter_unpack(self._view)
+        return iter(self._entries())
+
+    def __getitem__(self, index):
+        return self._entries()[index]
+
+    def __contains__(self, entry) -> bool:
+        return entry in self._entries()
+
+    def _entries(self) -> tuple[tuple, ...]:
+        if self._decoded is None:
+            self._decoded = tuple(_ENTRY.iter_unpack(self._view))
+        return self._decoded
 
 
-def iter_node_entries(payload: bytes):
-    """The node decoder: ``(is_leaf, count, entries)`` of a page payload.
+def decode_node(payload: bytes) -> tuple[bool, PageEntries]:
+    """The node decoder: ``(is_leaf, entries)`` of a page payload.
 
-    *entries* is a ``struct.iter_unpack`` iterator yielding
-    ``(x1, y1, x2, y2, pointer)`` tuples directly from a memoryview of
-    the payload — no :class:`NodeRecord`, no intermediate list — so
-    read-only traversals decode nothing they do not test.
+    *entries* is the page's :class:`PageEntries` — the node image the
+    R-tree core reads (:mod:`repro.rtree.tree`).
 
     Raises:
         ValueError: on truncated or inconsistent payloads.
@@ -95,5 +110,5 @@ def iter_node_entries(payload: bytes):
         raise ValueError(
             f"payload holds {len(payload)} bytes but header promises "
             f"{end}")
-    view = memoryview(payload)[_NODE_HEADER_SIZE:end]
-    return bool(is_leaf), count, _ENTRY.iter_unpack(view)
+    return bool(is_leaf), PageEntries(
+        memoryview(payload)[_NODE_HEADER_SIZE:end], count)

@@ -9,8 +9,7 @@ from repro.geometry.rect import Rect
 from repro.geometry.region import Region
 from repro.geometry.segment import Segment
 from repro.psql.result import QueryResult
-from repro.rtree.node import Node
-from repro.rtree.tree import RTree
+from repro.rtree.tree import Tree, node_mbr
 from repro.viz.svg import SvgCanvas
 
 #: Per-level stroke colours, leaf level first.
@@ -18,7 +17,7 @@ LEVEL_COLORS = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
                 "#e377c2", "#7f7f7f")
 
 
-def render_rtree(tree: RTree, world: Optional[Rect] = None,
+def render_rtree(tree: Tree, world: Optional[Rect] = None,
                  width: int = 800, show_data: bool = True) -> SvgCanvas:
     """Draw every node MBR, colour-coded by level (like Figure 3.8c).
 
@@ -35,25 +34,21 @@ def render_rtree(tree: RTree, world: Optional[Rect] = None,
         world = bounds.scaled_about_center(1.05)
     canvas = SvgCanvas(world, width=width)
 
-    def walk(node: Node, height: int) -> None:
-        color = LEVEL_COLORS[min(height, len(LEVEL_COLORS) - 1)]
-        if node.entries:
-            canvas.rect(node.mbr(), stroke=color,
+    depth = tree.depth
+    for level, _ref, is_leaf, entries in tree.walk():
+        height = depth - level
+        if entries:
+            canvas.rect(Rect(*node_mbr(entries)),
+                        stroke=LEVEL_COLORS[min(height,
+                                                len(LEVEL_COLORS) - 1)],
                         stroke_width=1.0 + 0.6 * height)
-        if node.is_leaf:
-            if show_data:
-                for e in node.entries:
-                    if e.rect.area() == 0.0:
-                        canvas.circle(e.rect.center(), radius_px=2.0,
-                                      fill="#999")
-                    else:
-                        canvas.rect(e.rect, stroke="#bbb")
-            return
-        for e in node.entries:
-            assert e.child is not None
-            walk(e.child, height - 1)
-
-    walk(tree.root, tree.depth)
+        if is_leaf and show_data:
+            for x1, y1, x2, y2, _oid in entries:
+                rect = Rect(x1, y1, x2, y2)
+                if rect.area() == 0.0:
+                    canvas.circle(rect.center(), radius_px=2.0, fill="#999")
+                else:
+                    canvas.rect(rect, stroke="#bbb")
     return canvas
 
 

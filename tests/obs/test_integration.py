@@ -21,6 +21,7 @@ from repro.psql.executor import Session
 from repro.psql.repl import build_demo_database
 from repro.rtree.metrics import average_nodes_visited, random_point_queries
 from repro.rtree.packing import pack
+from repro.rtree.search import SearchStats
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.pager import Pager
 
@@ -69,16 +70,11 @@ def test_stats_kwarg_and_obs_agree():
     tree = small_tree()
     window = Rect(0, 0, 500, 500)
 
-    class Recorder:
-        nodes = 0
-
-        def record_node(self, node):
-            self.nodes += 1
-
-    rec = Recorder()
+    rec = SearchStats()
     with obs.scope(enable=True) as reg:
         tree.search(window, stats=rec)
-    assert rec.nodes == reg.counters.get("rtree.search.nodes_visited")
+    assert rec.nodes_visited == reg.counters.get(
+        "rtree.search.nodes_visited")
 
 
 # -- BufferStats: the seed contract -----------------------------------------

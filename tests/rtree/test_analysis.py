@@ -85,11 +85,11 @@ def test_dump_tree(packed):
     text = dump_tree(packed)
     lines = text.splitlines()
     assert lines[0].startswith("node ")
-    assert sum(1 for l in lines if "leaf " in l) == sum(
-        1 for _ in packed.leaves())
+    leaves = [entries for _l, _r, is_leaf, entries in packed.walk()
+              if is_leaf]
+    assert sum(1 for l in lines if "leaf " in l) == len(leaves)
     assert "->" in text  # leaf entries listed
-    assert "... " in text or all(
-        len(leaf.entries) <= 4 for leaf in packed.leaves())
+    assert "... " in text or all(len(leaf) <= 4 for leaf in leaves)
 
 
 def test_dump_tree_elides_large_leaves(small_items):

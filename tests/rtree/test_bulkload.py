@@ -243,16 +243,10 @@ class TestStructure:
     def _level_fills(tree):
         """Entry counts per node, grouped by level (root first)."""
         levels = []
-        frontier = [tree.root_page]
-        while frontier:
-            nxt, fills = [], []
-            for page in frontier:
-                node = tree._read_node(page)
-                fills.append(len(node.entries))
-                if not node.is_leaf:
-                    nxt.extend(int(e[4]) for e in node.entries)
-            levels.append(fills)
-            frontier = nxt
+        for level, _page, _is_leaf, entries in tree.walk():
+            if level == len(levels):
+                levels.append([])
+            levels[level].append(len(entries))
         return levels
 
     def test_leaves_are_packed_full(self, tmp_path):

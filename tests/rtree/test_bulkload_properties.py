@@ -1,15 +1,16 @@
 """Hypothesis properties for the disk trees' packing invariants.
 
 Every loader — the streaming ``bulk_load_stream`` with each sort key
-(hilbert, lowx, str, adaptive), ``DiskRTree.bulk_load`` with each PACK
-grouping (nn, lowx, str, hilbert) — and every ``local_repack_disk``
-splice must produce trees that:
+(hilbert, lowx, str, adaptive), ``DiskRTree.bulk_load`` and the in-memory
+``pack`` with each PACK grouping (nn, lowx, str, hilbert) — and every
+``local_repack`` splice, on either node store, must produce trees that:
 
 - obey PACK Theorem 3.2 level-by-level (``ceil(n/M)`` nodes per level,
   which the min-fill tail redistribution must not change),
 - answer window queries identically to a brute-force scan, and
 - keep every non-root node's fill inside ``[min_fill, max_entries]``
-  (the trailing-node rule: no near-empty rightmost spine).
+  (the trailing-node rule: no near-empty rightmost spine; the in-memory
+  PACK keeps the paper's trailing node, min_fill 0).
 
 Distributions are drawn adversarially: uniform points, tight Gaussian
 clusters, duplicated coordinates, degenerate single-point inputs.
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
 from repro.rtree.bulkload import SORT_KEYS, bulk_load_stream
-from repro.rtree.packing import PACK_METHODS
-from repro.rtree.repack import _smallest_subtree_pages, local_repack_disk
+from repro.rtree.packing import PACK_METHODS, pack
+from repro.rtree.repack import local_repack
 from repro.storage.disk_rtree import DiskRTree
 
 coords = st.floats(min_value=0.0, max_value=1000.0,
@@ -65,11 +66,10 @@ def build(tmp_path, items, method, max_entries, run_size):
     return tree
 
 
-def level_fills(tree, page=None):
-    """Entry counts per node, level by level, from *page* (the root)."""
+def level_fills(tree, ref=None):
+    """Entry counts per node, level by level, from *ref* (the root)."""
     levels = []
-    for level, _page, _is_leaf, entries in tree._walk(
-            tree.root_page if page is None else page):
+    for level, _ref, _is_leaf, entries in tree.walk(ref):
         if level == len(levels):
             levels.append([])
         levels[level].append(len(entries))
@@ -90,11 +90,13 @@ def assert_packed(levels, n, max_entries, min_fill):
         assert all(c >= min_fill for c in counts), f"underfull: {levels}"
 
 
-def assert_tree(tree, items, max_entries):
+def assert_tree(tree, items, max_entries, min_fill=None):
     assert len(tree) == len(items)
-    assert_packed(level_fills(tree), len(items), max_entries,
-                  min(tree.min_entries, max_entries // 2))
+    if min_fill is None:
+        min_fill = min(tree.min_entries, max_entries // 2)
+    assert_packed(level_fills(tree), len(items), max_entries, min_fill)
     assert_brute_force(tree, items)
+    tree.validate(check_fill=False)
 
 
 def assert_brute_force(tree, items):
@@ -133,20 +135,41 @@ def test_in_memory_loader_invariants(tmp_path_factory, items, method,
         tree.close()
 
 
+@given(items=item_sets(), method=st.sampled_from(sorted(PACK_METHODS)),
+       max_entries=fanouts)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_list_store_pack_invariants(items, method, max_entries):
+    """The in-memory ``pack`` meets Theorem 3.2's chain with the paper's
+    trailing node (min_fill 0) on the list store."""
+    assert_tree(pack(items, max_entries=max_entries, method=method),
+                items, max_entries, min_fill=0)
+
+
+def build_splice_tree(tmp_path_factory, store, items, max_entries):
+    if store == "list":
+        return pack(items, max_entries=max_entries, method="hilbert"), 0
+    path = os.path.join(str(tmp_path_factory.mktemp("splice")), "s.db")
+    tree = DiskRTree(path, max_entries=max_entries)
+    tree.bulk_load(items, method="hilbert")
+    return tree, min(tree.min_entries, max_entries // 2)
+
+
 @given(items=item_sets(min_size=40), max_entries=st.integers(4, 8),
        hot=st.tuples(coords, coords), extra=st.integers(0, 80),
-       method=st.sampled_from(sorted(PACK_METHODS)))
+       method=st.sampled_from(sorted(PACK_METHODS)),
+       store=st.sampled_from(["list", "page"]))
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.large_base_example])
 def test_splice_invariants(tmp_path_factory, items, max_entries, hot,
-                           extra, method):
-    """A ``local_repack_disk`` splice packs its subtree to the same
-    bounds (under any single-entry pad pages that keep leaf depth)."""
-    path = os.path.join(str(tmp_path_factory.mktemp("splice")), "s.db")
-    tree = DiskRTree(path, max_entries=max_entries)
+                           extra, method, store):
+    """A ``local_repack`` splice packs its subtree to the same bounds
+    (under any single-entry pad nodes that keep leaf depth), on either
+    store; the disk file accounts for every page."""
+    tree, min_fill = build_splice_tree(tmp_path_factory, store, items,
+                                       max_entries)
     try:
-        tree.bulk_load(items, method="hilbert")
         live = list(items)
         for i in range(extra):   # hot-spot inserts split leaves
             x = min(hot[0] + (i % 9), 999.0)
@@ -154,26 +177,22 @@ def test_splice_invariants(tmp_path_factory, items, max_entries, hot,
             live.append((Rect(x, y, x + 1, y + 1), len(live)))
             tree.insert(*live[-1])
         region = live[-1][0]
-        path_pages = _smallest_subtree_pages(tree, region)
-        assume(len(path_pages) > 1)
-        parent = tree._read_node(path_pages[-2])
-        slot = [e[4] for e in parent.entries].index(path_pages[-1])
+        refs, slots = tree._covering_path(region)
+        assume(len(refs) > 1)
 
-        result = local_repack_disk(tree, region, method=method)
-        new_root = tree._read_node(path_pages[-2]).entries[slot][4]
+        result = local_repack(tree, region, method=method)
+        new_root = tree.store.fetch(refs[-2])[1][slots[-1]][4]
         levels = level_fills(tree, new_root)
-        while len(levels) > 1 and levels[0] == [1]:   # pad pages
+        while len(levels) > 1 and levels[0] == [1]:   # pad nodes
             levels.pop(0)
         assert_packed(levels, result.entries_repacked, max_entries,
-                      min(tree.min_entries, max_entries // 2))
-        assert len({level for level, _page, is_leaf, _entries
-                    in tree._walk(tree.root_page) if is_leaf}) == 1
+                      min_fill)
         assert len(tree) == len(live)
         assert_brute_force(tree, live)
-        assert 2 + tree.node_count() + len(tree.pager._free_pages) \
-            == tree.pager.page_count
+        tree.validate(check_fill=False)
     finally:
-        tree.close()
+        if store == "page":
+            tree.close()
 
 
 @given(items=item_sets(), max_entries=fanouts)

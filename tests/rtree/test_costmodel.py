@@ -110,13 +110,14 @@ def test_clipping_never_exceeds_unclipped_estimate(trees):
     from repro.rtree.costmodel import node_visit_probability
 
     packed, _ = trees
-    for node in packed.nodes():
-        if node.is_leaf:
+    for _level, _ref, is_leaf, entries in packed.walk():
+        if is_leaf:
             continue
-        for e in node.entries:
-            clipped = node_visit_probability(e.rect, 50, 50,
+        for e in entries:
+            rect = Rect(*e[:4])
+            clipped = node_visit_probability(rect, 50, 50,
                                              TABLE1_UNIVERSE)
-            naive = ((e.rect.width + 50) * (e.rect.height + 50)
+            naive = ((rect.width + 50) * (rect.height + 50)
                      / TABLE1_UNIVERSE.area())
             assert 0.0 <= clipped <= min(1.0, naive) + 1e-12
 

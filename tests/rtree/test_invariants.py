@@ -19,9 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
-from repro.rtree.node import Node
 from repro.rtree.packing import PACK_METHODS, pack
-from repro.rtree.tree import RTree
+from repro.rtree.tree import RTree, node_mbr
 
 FANOUTS = [4, 8, 25]
 SIZES = [1, 3, 4, 5, 26, 57, 200, 403]
@@ -47,17 +46,13 @@ def random_rect_items(n, rng):
 DATASETS = {"points": random_point_items, "rects": random_rect_items}
 
 
-def levels_of(tree: RTree) -> list[list[Node]]:
-    """Nodes grouped by depth, root level first."""
-    out: list[list[Node]] = []
-    current = [tree.root]
-    while current:
-        out.append(current)
-        nxt: list[Node] = []
-        for node in current:
-            if not node.is_leaf:
-                nxt.extend(e.child for e in node.entries)
-        current = nxt
+def levels_of(tree: RTree) -> list[list]:
+    """Each node's entries, grouped by depth, root level first."""
+    out: list[list] = []
+    for level, _ref, _is_leaf, entries in tree.walk():
+        if level == len(out):
+            out.append([])
+        out[level].append(entries)
     return out
 
 
@@ -74,7 +69,7 @@ def assert_packed_shape(tree: RTree, n: int, m: int) -> None:
         expected_nodes = math.ceil(entries_below / m)
         assert len(nodes) == expected_nodes, (
             f"level has {len(nodes)} nodes, expected {expected_nodes}")
-        fills = sorted(len(node.entries) for node in nodes)
+        fills = sorted(len(entries) for entries in nodes)
         if len(nodes) > 1:
             # At most one under-full node per level (the ordering's tail);
             # every other node holds exactly M entries.
@@ -86,12 +81,14 @@ def assert_packed_shape(tree: RTree, n: int, m: int) -> None:
     assert entries_below == 1  # the chain terminates in the root
     # Tight parent MBRs: every entry rectangle IS its child's MBR, and
     # therefore contains each grandchild rectangle.
+    fetch = tree.store.fetch
     for nodes in lvls[:-1]:
-        for node in nodes:
-            for e in node.entries:
-                assert e.rect == e.child.mbr()
-                for ce in e.child.entries:
-                    assert e.rect.contains(ce.rect)
+        for entries in nodes:
+            for e in entries:
+                child = fetch(e[4])[1]
+                assert e[:4] == node_mbr(child)
+                for ce in child:
+                    assert Rect(*e[:4]).contains(Rect(*ce[:4]))
 
 
 @pytest.mark.parametrize("m", FANOUTS)

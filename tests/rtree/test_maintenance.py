@@ -119,8 +119,9 @@ class TestPickRegion:
         region = pick_region(degraded_db, "map", "points", "loc")
         assert region is not None
         index = degraded_db.picture("map").index("points", "loc")
-        roots = [rect for level, is_leaf, rect in index.entry_rects()
-                 if level == 1 and not is_leaf]
+        _level, _ref, is_leaf, entries = index.walk()[0]
+        assert not is_leaf
+        roots = [Rect(*e[:4]) for e in entries]
         assert any(region == r for r in roots)
 
     def test_single_leaf_tree_is_none(self, tmp_path):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.rtree import RTree
+from repro.rtree import RTree, node_mbr
 from repro.rtree.packing import (
     PACK_METHODS,
     pack,
@@ -17,6 +17,11 @@ from repro.rtree.packing import (
 )
 from repro.rtree.theory import expected_pack_depth, expected_pack_node_count
 from repro.workloads import uniform_points
+
+
+def leaves(tree):
+    """Each leaf's entries, left to right."""
+    return [entries for _l, _r, is_leaf, entries in tree.walk() if is_leaf]
 
 ALL_METHODS = sorted(PACK_METHODS)
 
@@ -80,8 +85,7 @@ class TestNearestNeighborSpecifics:
                        for dx, dy in [(0, 0), (1, 0), (0, 1), (1, 1)])
         items = [(Rect.from_point(p), i) for i, p in enumerate(pts)]
         t = pack_nearest_neighbor(items, max_entries=4)
-        leaf_sets = [frozenset(e.oid for e in leaf.entries)
-                     for leaf in t.leaves()]
+        leaf_sets = [frozenset(e[4] for e in leaf) for leaf in leaves(t)]
         expect = [frozenset(range(k, k + 4)) for k in range(0, 16, 4)]
         assert sorted(leaf_sets, key=min) == expect
 
@@ -106,9 +110,8 @@ class TestNearestNeighborSpecifics:
             pk._NeighborFinder = original
 
         def leaf_sets(tree):
-            return sorted(
-                (frozenset(e.oid for e in leaf.entries)
-                 for leaf in tree.leaves()), key=min)
+            return sorted((frozenset(e[4] for e in leaf)
+                           for leaf in leaves(tree)), key=min)
 
         assert leaf_sets(grid_tree) == leaf_sets(brute_tree)
 
@@ -165,10 +168,10 @@ class TestPackRegions:
     def test_region_leaves_cover_their_objects(self, region_items):
         t = pack(region_items, max_entries=4, method="nn")
         by_oid = dict((i, r) for r, i in region_items)
-        for leaf in t.leaves():
-            mbr = leaf.mbr()
-            for e in leaf.entries:
-                assert mbr.contains(by_oid[e.oid])
+        for leaf in leaves(t):
+            mbr = Rect(*node_mbr(leaf))
+            for e in leaf:
+                assert mbr.contains(by_oid[e[4]])
 
     def test_theorem33_in_practice(self, region_items):
         """Unlike points (Thm 3.2), region packs generally keep some
@@ -199,5 +202,5 @@ class TestDynamicConfigCarriesOver:
 
     def test_packed_tree_branching_factor(self, small_items):
         t = pack(small_items, max_entries=8)
-        for node in t.nodes():
-            assert len(node.entries) <= 8
+        for _level, _ref, _is_leaf, entries in t.walk():
+            assert len(entries) <= 8

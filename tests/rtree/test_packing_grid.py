@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
-from repro.rtree.node import Entry
 from repro.rtree.packing import _CenterGrid, pack
+from repro.rtree.tree import node_mbr
 
 int_coord = st.integers(min_value=0, max_value=60)
 
@@ -38,8 +38,7 @@ def center_sets(draw):
 
 
 def _entries(points):
-    return [Entry(rect=Rect.from_point(p), oid=i)
-            for i, p in enumerate(points)]
+    return [(*Rect.from_point(p), i) for i, p in enumerate(points)]
 
 
 def _brute_nearest(query, alive, centers):
@@ -55,7 +54,7 @@ def test_grid_nearest_matches_brute_force(points, seed):
     entries = _entries(points)
     grid = _CenterGrid(entries)
     alive = dict(enumerate(entries))
-    centers = [e.rect.center() for e in entries]
+    centers = [Rect(*e[:4]).center() for e in entries]
     # Drain in random order from random query points: every intermediate
     # alive-set shape (holes, singletons) gets exercised.
     while len(alive) > 1:
@@ -105,18 +104,9 @@ def test_grouped_pack_identical_with_and_without_grid():
         packing._NeighborFinder.__init__ = orig_init
 
     def shape(tree):
-        out = []
-
-        def walk(node):
-            out.append((node.is_leaf,
-                        tuple(sorted(e.oid for e in node.entries))
-                        if node.is_leaf else None,
-                        node.mbr()))
-            if not node.is_leaf:
-                for e in node.entries:
-                    walk(e.child)
-
-        walk(tree.root)
-        return out
+        return [(is_leaf,
+                 tuple(sorted(e[4] for e in entries)) if is_leaf else None,
+                 node_mbr(entries))
+                for _level, _ref, is_leaf, entries in tree.walk()]
 
     assert shape(with_grid) == shape(without_grid)

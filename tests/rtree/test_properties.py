@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
 from repro.geometry.sweep import union_area
-from repro.rtree import RTree
+from repro.rtree import RTree, node_mbr
 from repro.rtree.packing import pack
 from repro.rtree.theory import zero_overlap_partition
 
@@ -71,13 +71,14 @@ def test_packed_search_equals_dynamic_search(rect_list, window):
 def test_parent_mbr_containment(rect_list):
     """Every child MBR lies within its parent entry's MBR."""
     t = pack([(r, i) for i, r in enumerate(rect_list)], max_entries=4)
-    for node in t.nodes():
-        if node.is_leaf:
+    for _level, _ref, is_leaf, entries in t.walk():
+        if is_leaf:
             continue
-        for e in node.entries:
-            assert e.rect == e.child.mbr()
-            for sub in e.child.entries:
-                assert e.rect.contains(sub.rect)
+        for e in entries:
+            child = t.store.fetch(e[4])[1]
+            assert e[:4] == node_mbr(child)
+            for sub in child:
+                assert Rect(*e[:4]).contains(Rect(*sub[:4]))
 
 
 @given(item_lists, st.data())

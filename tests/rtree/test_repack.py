@@ -93,16 +93,8 @@ class TestLocalRepack:
     def test_leaf_depths_stay_uniform(self):
         tree, _live = degraded_tree()
         local_repack(tree, region=Rect(400, 400, 600, 600))
-        depths = set()
-
-        def walk(node, d):
-            if node.is_leaf:
-                depths.add(d)
-            else:
-                for e in node.entries:
-                    walk(e.child, d + 1)
-
-        walk(tree.root, 0)
+        depths = {level for level, _ref, is_leaf, _e in tree.walk()
+                  if is_leaf}
         assert len(depths) == 1
 
     def test_region_outside_tree(self):
@@ -123,7 +115,8 @@ class TestLocalRepack:
         tree, _live = degraded_tree(updates=400)
 
         def mean_fill(t):
-            leaves = [len(leaf.entries) for leaf in t.leaves()]
+            leaves = [len(entries)
+                      for _l, _r, is_leaf, entries in t.walk() if is_leaf]
             return sum(leaves) / len(leaves)
 
         fill_before = mean_fill(tree)

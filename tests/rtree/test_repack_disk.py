@@ -14,7 +14,7 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.rtree.maintenance import worst_overlap_rect
-from repro.rtree.repack import _smallest_subtree_pages, local_repack_disk
+from repro.rtree.repack import local_repack_disk
 from repro.rtree.search import SearchStats
 from repro.storage.disk_rtree import DiskRTree
 
@@ -55,16 +55,11 @@ def assert_equivalent(tree, live, seed=3, windows=60):
 
 
 def leaf_depths(tree):
-    out = set()
-    stack = [(tree.root_page, 0)]
-    while stack:
-        page, depth = stack.pop()
-        node = tree._read_node(page)
-        if node.is_leaf:
-            out.add(depth)
-        else:
-            stack.extend((e[4], depth + 1) for e in node.entries)
-    return out
+    return {level for level, _page, is_leaf, _e in tree.walk() if is_leaf}
+
+
+def root_entries(tree):
+    return tree.store.fetch(tree.root)[1]
 
 
 @pytest.fixture()
@@ -73,14 +68,12 @@ def churned(tmp_path):
     tree = DiskRTree(os.path.join(str(tmp_path), "t.db"), max_entries=8)
     tree.bulk_load_stream(iter(items), method="hilbert", run_size=500)
     live = {oid: rect for rect, oid in items}
-    root = tree._read_node(tree.root_page)
-    child = Rect(*root.entries[0][:4])
+    child = Rect(*root_entries(tree)[0][:4])
     center = (child.center().x, child.center().y)
     hot_spot_churn(tree, live, center, 400)
     # Target what the maintenance loop would target: the post-churn root
     # partition most overlapped by its siblings relative to its size.
-    root = tree._read_node(tree.root_page)
-    region = worst_overlap_rect([Rect(*e[:4]) for e in root.entries])
+    region = worst_overlap_rect([Rect(*e[:4]) for e in root_entries(tree)])
     assert region is not None
     yield tree, live, region
     tree.close()
@@ -89,7 +82,7 @@ def churned(tmp_path):
 class TestSubtreeSplice:
     def test_targets_a_proper_subtree(self, churned):
         tree, _live, region = churned
-        path = _smallest_subtree_pages(tree, region)
+        path, _slots = tree._covering_path(region)
         assert len(path) > 1
 
     def test_answers_and_size_preserved(self, churned):
@@ -179,8 +172,7 @@ class TestPadding:
         tree.bulk_load_stream(iter(items), method="hilbert", run_size=500)
         live = {oid: rect for rect, oid in items}
         try:
-            root = tree._read_node(tree.root_page)
-            child = Rect(*root.entries[0][:4])
+            child = Rect(*root_entries(tree)[0][:4])
             # Empty the partition down to a handful of entries so the
             # packed replacement is shallower than the original subtree.
             victims = [oid for oid in tree.search(child)

@@ -21,7 +21,8 @@ def test_window_search_records_stats(tree):
     stats = SearchStats()
     results = window_search(tree, Rect(0, 0, 1000, 1000), stats)
     assert stats.nodes_visited == tree.node_count
-    assert stats.leaves_visited == sum(1 for _ in tree.leaves())
+    assert stats.leaves_visited == sum(
+        is_leaf for _level, _ref, is_leaf, _e in tree.walk())
     assert stats.results == len(results) == len(tree)
 
 

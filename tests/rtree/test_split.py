@@ -6,7 +6,6 @@ import pytest
 
 from repro.geometry import Rect, mbr_of_rects
 from repro.rtree import (
-    Entry,
     ExhaustiveSplit,
     LinearSplit,
     QuadraticSplit,
@@ -18,11 +17,15 @@ ALL_STRATEGIES = [ExhaustiveSplit(), QuadraticSplit(), LinearSplit(),
                   RStarSplit()]
 
 
-def entries_from(rects) -> list[Entry]:
-    return [Entry(rect=r, oid=i) for i, r in enumerate(rects)]
+def entries_from(rects) -> list[tuple]:
+    return [(*r, i) for i, r in enumerate(rects)]
 
 
-def random_entries(n: int, seed: int) -> list[Entry]:
+def rect_of(entry) -> Rect:
+    return Rect(*entry[:4])
+
+
+def random_entries(n: int, seed: int) -> list[tuple]:
     rng = random.Random(seed)
     rects = []
     for _ in range(n):
@@ -41,7 +44,7 @@ class TestSplitContract:
     def test_partitions_all_entries(self, strategy):
         entries = random_entries(5, seed=1)
         g1, g2 = strategy.split(entries, min_entries=2)
-        assert sorted(e.oid for e in g1 + g2) == [0, 1, 2, 3, 4]
+        assert sorted(e[4] for e in g1 + g2) == [0, 1, 2, 3, 4]
 
     def test_min_fill_respected(self, strategy):
         for seed in range(10):
@@ -79,8 +82,8 @@ class TestQuality:
         right = [Rect(100 + i, 0, 101 + i, 1) for i in range(2)]
         g1, g2 = ExhaustiveSplit().split(entries_from(left + right),
                                          min_entries=2)
-        mbr1 = mbr_of_rects(e.rect for e in g1)
-        mbr2 = mbr_of_rects(e.rect for e in g2)
+        mbr1 = mbr_of_rects(map(rect_of, g1))
+        mbr2 = mbr_of_rects(map(rect_of, g2))
         assert not mbr1.overlaps_interior(mbr2)
 
     def test_quadratic_separates_two_clusters(self):
@@ -88,8 +91,8 @@ class TestQuality:
         right = [Rect(100 + i, 0, 101 + i, 1) for i in range(2)]
         g1, g2 = QuadraticSplit().split(entries_from(left + right),
                                         min_entries=2)
-        mbr1 = mbr_of_rects(e.rect for e in g1)
-        mbr2 = mbr_of_rects(e.rect for e in g2)
+        mbr1 = mbr_of_rects(map(rect_of, g1))
+        mbr2 = mbr_of_rects(map(rect_of, g2))
         assert not mbr1.overlaps_interior(mbr2)
 
     def test_exhaustive_never_worse_than_others(self):
@@ -99,8 +102,8 @@ class TestQuality:
 
             def total_area(split):
                 g1, g2 = split
-                return (mbr_of_rects(e.rect for e in g1).area()
-                        + mbr_of_rects(e.rect for e in g2).area())
+                return (mbr_of_rects(map(rect_of, g1)).area()
+                        + mbr_of_rects(map(rect_of, g2)).area())
 
             best = total_area(ExhaustiveSplit().split(entries, 2))
             assert best <= total_area(QuadraticSplit().split(entries, 2)) + 1e-9

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.rtree import RTree
+from repro.rtree import RTree, SearchStats
 
 
 def brute_hits(items, window):
@@ -127,9 +127,9 @@ class TestQueries:
         assert tree.count_query_accesses(Point(-1, -1)) >= 1
 
     def test_on_node_callback_counts(self, tree):
-        visits = []
-        tree.search(Rect(0, 0, 1000, 1000), on_node=visits.append)
-        assert len(visits) == tree.node_count  # full-universe window
+        stats = SearchStats()
+        tree.search(Rect(0, 0, 1000, 1000), stats=stats)
+        assert stats.nodes_visited == tree.node_count  # full-universe window
 
 
 class TestValidate:
@@ -137,8 +137,9 @@ class TestValidate:
         t = RTree(max_entries=4)
         t.insert_all(small_items[:20])
         # Corrupt one internal entry rectangle.
-        entry = t.root.entries[0]
-        entry.rect = Rect(0, 0, 0.5, 0.5)
+        _is_leaf, entries = t.store.fetch(t.root)
+        t.store.write(t.root, False,
+                      [(0, 0, 0.5, 0.5, entries[0][4]), *entries[1:]])
         with pytest.raises(AssertionError):
             t.validate()
 

@@ -8,6 +8,7 @@ this corrupts frame state and returns wrong pages.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -123,3 +124,43 @@ class TestConcurrentSearch:
         for t in threads:
             t.join(timeout=120)
         assert not failures, failures[:5]
+
+
+def test_lazily_decoded_frames_under_fast_switching(tmp_path):
+    """A resident page's entries are decoded by whichever reader reaches
+    them second; readers racing there on a tiny switch interval still
+    answer like a brute-force scan."""
+    items = _random_items(random.Random(5))
+    windows = _random_windows(random.Random(9))
+    expected = [sorted(oid for rect, oid in items if rect.intersects(w))
+                for w in windows]
+    tree = DiskRTree(str(tmp_path / "resident.rtree"), max_entries=8,
+                     buffer_capacity=256)
+    tree.bulk_load(items)
+    tree.pool.clear()   # every page starts read from disk, undecoded
+    failures = []
+    lock = threading.Lock()
+
+    def worker(seed):
+        order = list(range(len(windows)))
+        random.Random(seed).shuffle(order)
+        for i in order * 3:
+            got = sorted(tree.search(windows[i]))
+            if got != expected[i]:
+                with lock:
+                    failures.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(N_THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+        tree.close()
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures[:5]

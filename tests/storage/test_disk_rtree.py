@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
+from repro.rtree import RTree
 from repro.rtree.bulkload import bulk_load_stream
 from repro.storage import DiskRTree, failpoints
 from repro.storage.pager import FP_COMMIT_AFTER_SYNC
@@ -49,12 +50,12 @@ def test_persistence_roundtrip(tmp_path, items):
     path = str(tmp_path / "t.db")
     with DiskRTree(path, max_entries=8) as t:
         t.bulk_load(items)
-        depth = t.depth()
-        nodes = t.node_count()
+        depth = t.depth
+        nodes = t.node_count
     with DiskRTree(path) as t:
         assert len(t) == 300
-        assert t.depth() == depth
-        assert t.node_count() == nodes
+        assert t.depth == depth
+        assert t.node_count == nodes
         assert sorted(t.search(WINDOW)) == brute(items, WINDOW)
 
 
@@ -172,7 +173,7 @@ def test_loaders_validate_every_item_first(tmp_path, items, loader, bad):
 
 def _page_census(t):
     """(header + meta + reachable node pages + free pages, page_count)."""
-    reachable = t.node_count()
+    reachable = t.node_count
     return 2 + reachable + len(t.pager._free_pages), t.pager.page_count
 
 
@@ -261,3 +262,45 @@ def test_crash_after_mid_build_commit_reopens_empty(tmp_path, loader):
         assert t.search(Rect(0, 0, 1000, 1000)) == []
         t.bulk_load(items[:100])
         assert sorted(t.search(WINDOW)) == brute(items[:100], WINDOW)
+
+
+def _leaf_groups(tree):
+    """Each leaf's object ids, leaves left to right."""
+    return [tuple(e[4] for e in entries)
+            for _level, _ref, is_leaf, entries in tree.walk() if is_leaf]
+
+
+def test_delete_reinserts_orphaned_subtree_whole(tmp_path):
+    """CondenseTree re-inserts an orphaned subtree at its own level.
+
+    24 points packed by ascending x at M=4 make leaves {0..3} ... {20..23}
+    under two level-1 nodes, the second holding {16..19} and {20..23}.
+    Deleting 20, 21 and 22 dissolves the last leaf, then its parent; the
+    sibling leaf {16..19} goes back in as one entry, on its own page.
+    """
+    items = [(Rect.from_point(Point(i, (7 * i) % 24)), i) for i in range(24)]
+    with DiskRTree(str(tmp_path / "t.db"), max_entries=4) as t:
+        t.bulk_load(items, method="lowx")
+        (page, entries), = [(ref, tuple(e)) for _l, ref, leaf, e in t.walk()
+                            if leaf and {x[4] for x in e} == {16, 17, 18, 19}]
+        for rect, oid in items[20:23]:
+            assert t.delete(rect, oid)
+        assert tuple(t.store.fetch(page)[1]) == entries
+        assert (16, 17, 18, 19) in _leaf_groups(t)
+        t.validate()
+
+
+def test_insert_delete_sequence_same_tree_in_memory_and_on_disk(tmp_path):
+    """One mutator: the same operations build the same leaves on both
+    node stores, deletes that dissolve internal nodes included."""
+    pts = uniform_points(120, seed=21)
+    items = [(Rect.from_point(p), i) for i, p in enumerate(pts)]
+    memory = RTree(max_entries=4)
+    with DiskRTree(str(tmp_path / "t.db"), max_entries=4) as disk:
+        for tree in (memory, disk):
+            for rect, oid in items:
+                tree.insert(rect, oid)
+            for rect, oid in items[::3] + items[1::3][:25]:
+                assert tree.delete(rect, oid)
+            tree.validate()
+        assert _leaf_groups(memory) == _leaf_groups(disk)

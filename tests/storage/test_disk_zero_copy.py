@@ -81,8 +81,8 @@ class TestEquivalence:
     def test_stats_counts_pages(self, tree):
         stats = SearchStats()
         tree.search(Rect(0, 0, 1000, 1000), stats=stats)
-        nodes = list(tree._walk(tree.root_page))
-        assert stats.nodes_visited == tree.node_count() == len(nodes) > 1
+        nodes = list(tree.walk())
+        assert stats.nodes_visited == tree.node_count == len(nodes) > 1
         assert stats.leaves_visited == sum(leaf for _, _, leaf, _ in nodes)
         assert stats.entries_tested == sum(len(e) for _, _, _, e in nodes)
 

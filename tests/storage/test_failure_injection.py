@@ -29,7 +29,7 @@ def loaded_tree_path(tmp_path):
 
 def test_corrupted_node_page_detected_on_search(loaded_tree_path):
     tree = DiskRTree(loaded_tree_path)
-    root = tree.root_page
+    root = tree.root
     tree.close()
     # Flip bytes inside the root node's payload.
     with open(loaded_tree_path, "r+b") as f:
@@ -48,7 +48,7 @@ def test_truncated_file_detected(loaded_tree_path):
     tree = DiskRTree(loaded_tree_path)
     with pytest.raises(CorruptPageError):
         # The truncated tail held real nodes.
-        tree.node_count()
+        tree.node_count
     tree.close()
 
 

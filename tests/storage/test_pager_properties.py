@@ -46,12 +46,11 @@ def test_alloc_free_interleaving_never_duplicates(tmp_path_factory, ops):
 
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1,
                 max_size=120),
-       st.integers(min_value=1, max_value=5),
-       st.sampled_from(["lru", "clock"]))
+       st.integers(min_value=1, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_buffer_pool_transparent_for_any_access_pattern(
-        tmp_path_factory, accesses, capacity, policy):
-    """Whatever the replacement policy and pattern, contents are exact."""
+        tmp_path_factory, accesses, capacity):
+    """Whatever the access pattern, contents are exact."""
     tmp = tmp_path_factory.mktemp("pool-prop")
     with Pager(tmp / "p.db", page_size=512) as pager:
         pages = []
@@ -59,7 +58,7 @@ def test_buffer_pool_transparent_for_any_access_pattern(
             page = pager.allocate()
             pager.write_page(page, f"content-{i}".encode())
             pages.append(page)
-        pool = BufferPool(pager, capacity=capacity, policy=policy)
+        pool = BufferPool(pager, capacity=capacity)
         for idx in accesses:
             assert pool.get(pages[idx]) == f"content-{idx}".encode()
         assert pool.resident <= capacity
@@ -67,17 +66,15 @@ def test_buffer_pool_transparent_for_any_access_pattern(
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=5),
                           payloads),
-                min_size=1, max_size=40),
-       st.sampled_from(["lru", "clock"]))
+                min_size=1, max_size=40))
 @settings(max_examples=40, deadline=None)
-def test_buffered_writes_durable_after_flush(tmp_path_factory, writes,
-                                             policy):
+def test_buffered_writes_durable_after_flush(tmp_path_factory, writes):
     tmp = tmp_path_factory.mktemp("pool-write")
     with Pager(tmp / "p.db", page_size=512) as pager:
         pages = [pager.allocate() for _ in range(6)]
         for page in pages:
             pager.write_page(page, b"initial")
-        pool = BufferPool(pager, capacity=2, policy=policy)
+        pool = BufferPool(pager, capacity=2)
         final: dict[int, bytes] = {}
         for idx, blob in writes:
             pool.put(pages[idx], blob)
