@@ -9,7 +9,7 @@ full cross product — the pruning that makes geographic joins feasible.
 import pytest
 
 from repro.geometry import Rect
-from repro.geometry.predicates import covered_by
+from repro.geometry.predicates import OPERATORS, covered_by
 from repro.rtree.join import JoinStats, spatial_join
 from repro.rtree.packing import pack
 from repro.workloads import uniform_points, uniform_rects
@@ -67,6 +67,18 @@ def test_join_speed(benchmark, n):
     right = pack(rect_items(n // 2, seed=n + 1), max_entries=8)
     results = benchmark(spatial_join, left, right, covered_by)
     assert isinstance(results, list)
+
+
+@pytest.mark.parametrize("op", ["intersecting", "overlapping",
+                                "covering", "covered-by"])
+def test_operator_join_speed(benchmark, op):
+    """One row per PSQL operator, timed with the predicate object the
+    executor passes (``OPERATORS[op]``), not a ``Rect`` method."""
+    left = pack(rect_items(800, seed=80), max_entries=8)
+    right = pack(rect_items(400, seed=81), max_entries=8)
+    results = benchmark(spatial_join, left, right, OPERATORS[op])
+    assert sorted(results) == sorted(
+        spatial_join(left, right, lambda a, b: OPERATORS[op](a, b)))
 
 
 def test_brute_force_comparison_speed(benchmark):

@@ -239,6 +239,9 @@ class _SelectItem(NamedTuple):
     get: Callable[[Binding], Any]
     #: the set-valued function folding a group's values, or None
     aggregate: Optional[AggregateFunction]
+    #: ``(binding slot, column name)`` when the item is a plain column
+    #: reference, which projects through ``operator.itemgetter``
+    column: Optional[tuple[int, str]]
     #: False when the schema proves the item never yields a geometry (an
     #: alphanumeric column, a constant); True for a pictorial column and
     #: for function results, whose type is only known at runtime
@@ -526,23 +529,23 @@ class _Execution:
                         for rb, row_r in rel_r.rows()
                         if (ra, rb) not in intersecting]
         else:
-            predicate = OPERATORS[op]
-            if node.props["strategy"] == "nested":
-                if node.props["outer"] == "left":
-                    pairs = nested_window_join(tree_l, tree_r, predicate,
-                                               stats=stats)
-                else:
-                    flipped = OPERATORS[_FLIP.get(op, op)]
-                    pairs = [(ra, rb) for rb, ra in
-                             nested_window_join(tree_r, tree_l, flipped,
-                                                stats=stats)]
+            if node.props.get("outer") == "right":
+                pairs = nested_window_join(tree_r, tree_l,
+                                           OPERATORS[_FLIP.get(op, op)],
+                                           stats=stats)
+                rids_r, rids_l = zip(*pairs) if pairs else ((), ())
             else:
-                pairs = spatial_join(tree_l, tree_r, predicate,
-                                     stats=stats)
+                join = (nested_window_join
+                        if node.props["strategy"] == "nested"
+                        else spatial_join)
+                pairs = join(tree_l, tree_r, OPERATORS[op], stats=stats)
+                rids_l, rids_r = zip(*pairs) if pairs else ((), ())
             # One heap fetch per distinct row, however many pairs it is in.
-            rows_l = {ra: rel_l.get(ra) for ra in {ra for ra, _rb in pairs}}
-            rows_r = {rb: rel_r.get(rb) for rb in {rb for _ra, rb in pairs}}
-            bindings = [(rows_l[ra], rows_r[rb]) for ra, rb in pairs]
+            ids_l, ids_r = set(rids_l), set(rids_r)
+            rows_l = dict(zip(ids_l, rel_l.get_many(ids_l)))
+            rows_r = dict(zip(ids_r, rel_r.get_many(ids_r)))
+            bindings = list(zip(map(rows_l.__getitem__, rids_l),
+                                map(rows_r.__getitem__, rids_r)))
             if op in _REFINED_OPS:
                 bindings = [b for b in bindings
                             if _refine(op, b[0][col_l], b[1][col_r])]
@@ -701,7 +704,7 @@ class _Execution:
         grouped = any(is_aggregate(expr) for _label, expr in expanded)
         items = []
         for label, expr in expanded:
-            aggregate = None
+            aggregate = column = None
             pictorial = True     # a function's result: known at runtime
             if is_aggregate(expr):
                 if len(expr.args) != 1:
@@ -711,7 +714,9 @@ class _Execution:
                 aggregate = functions.lookup_aggregate(expr.name)
                 (expr,) = expr.args
             elif isinstance(expr, ast.ColumnRef):
-                pictorial = self._resolve_column(expr)[1].is_pictorial
+                slot, col = self._resolve_column(expr)
+                pictorial = col.is_pictorial
+                column = (slot, col.name)
             elif grouped:
                 raise PsqlSemanticError(
                     f"select item {label!r} must be a plain column when "
@@ -719,7 +724,7 @@ class _Execution:
             elif not isinstance(expr, ast.FunctionCall):
                 pictorial = False
             items.append(_SelectItem(label, self._getter(expr), aggregate,
-                                     pictorial))
+                                     column, pictorial))
         return items
 
     def _expand_select(self) -> list[tuple[str, ast.Expression]]:
@@ -746,9 +751,12 @@ class _Execution:
         if any(item.aggregate for item in items):
             result.rows = self._grouped_rows(bindings)
         else:
-            # Column at a time: one comprehension per select item.
-            result.rows = list(zip(*[[item.get(b) for b in bindings]
-                                     for item in items]))
+            # Column at a time; a plain column at C level.
+            result.rows = list(zip(*[
+                list(map(operator.itemgetter(item.column[1]),
+                         map(operator.itemgetter(item.column[0]), bindings)))
+                if item.column else list(map(item.get, bindings))
+                for item in items]))
         # Send selected geometries to the graphical output channel.
         pictorial = [i for i, item in enumerate(items) if item.pictorial]
         if pictorial:

@@ -445,5 +445,4 @@ class Database:
     def rows_for(self, relation_name: str,
                  rids: Iterable[RowId]) -> list[dict[str, Any]]:
         """Materialise rows from the ids a spatial search returned."""
-        relation = self.relation(relation_name)
-        return [relation.get(rid) for rid in rids]
+        return self.relation(relation_name).get_many(rids)

@@ -13,15 +13,17 @@ swap closes and reopens the pager.  Serialising every operation through
 one re-entrant lock makes the swap atomic with respect to searches —
 a searcher sees the old tree or the new tree, never a half-closed pager.
 
-Juxtaposition (the synchronized-descent spatial join) still requires
-in-memory indexes; a disk-backed index supports the direct spatial
-search, point and k-NN paths plus the Section 3.4 update path.
+A disk-backed index supports the direct spatial search, point and
+k-NN paths, the Section 3.4 update path and juxtaposition: the join
+kernel (:mod:`repro.rtree.join`) descends the tree :meth:`locked` lends
+it, against an in-memory or another disk tree.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -79,6 +81,13 @@ class DiskSpatialIndex:
     def knn(self, point: Point, k: int = 1, **kwargs):
         with self._lock:
             return self._tree.knn(point, k, **kwargs)
+
+    @contextmanager
+    def locked(self) -> Iterator[DiskRTree]:
+        """The tree itself, under the lock, for a caller (the join
+        kernel) that reads many of its nodes as one operation."""
+        with self._lock:
+            yield self._tree
 
     def walk(self) -> list[tuple[int, int, bool, tuple]]:
         """Snapshot of the tree's level-order walk, for the planner."""

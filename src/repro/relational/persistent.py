@@ -20,7 +20,7 @@ the data generation.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.geometry.rect import Rect
 from repro.relational.btree import BTree
@@ -122,6 +122,10 @@ class PersistentRelation:
             return decode_row(self._heap.get(addr))
         except HeapFileError as exc:
             raise KeyError(str(exc)) from exc
+
+    def get_many(self, addrs: Iterable[RowAddress]) -> list[dict[str, Any]]:
+        """:meth:`get` for each of *addrs*, in order."""
+        return [self.get(addr) for addr in addrs]
 
     def delete(self, addr: RowAddress) -> None:
         """Remove one row and its index entries (durable on return)."""

@@ -135,6 +135,23 @@ class Relation:
             raise KeyError(f"row {rid} does not exist in {self.name!r}")
         return row
 
+    def get_many(self, rids: Iterable[RowId]) -> list[dict[str, Any]]:
+        """The rows stored under *rids*, in order: :meth:`get` for a
+        whole id list in one pass.
+
+        Raises:
+            KeyError: for an out-of-range or deleted row id.
+        """
+        rids = list(rids)
+        try:
+            rows = list(map(self._rows.__getitem__, rids))
+        except IndexError:
+            rows = [None]
+        if None in rows or (rids and min(rids) < 0):
+            for rid in rids:
+                self.get(rid)  # raises for the first missing row
+        return rows
+
     def delete(self, rid: RowId) -> None:
         """Tombstone the row, removing it from all indexes.
 

@@ -5,29 +5,48 @@ two (or more) spatial organizations which correspond to the same area ...
 analogous to the use of two or more secondary indexes during the query
 processing where the intersection of the indices speeds up the search."
 
-The join descends both trees in lockstep, pruning any node pair whose
-MBRs do not intersect.  This is sound for every PSQL operator except
-``disjoined`` (whose qualifying pairs are exactly the ones a lockstep
-descent prunes); the executor handles that one by complementation.  Both
-descents read nodes through each tree's store, so either tree may be in
-memory or on disk.
+One kernel, :func:`_descend`, runs both join strategies over either tree
+form, testing each operator inline on flat entries.  Pruning is sound for
+every PSQL operator except ``disjoined`` (whose qualifying pairs are
+exactly the ones pruned); the executor handles that one by complement.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro import obs
+from repro.geometry import predicates
 from repro.geometry.rect import Rect
 from repro.rtree.tree import Tree, node_mbr
 
 
-JoinPredicate = Callable[[Rect, Rect], bool]
+@dataclass(slots=True)
+class JoinStats:
+    """Node accounting for one join: ``pairs_visited``/``pairs_pruned``
+    count node *pairs* of a lockstep descent; ``outer_nodes``/
+    ``inner_nodes``/``probes`` the per-side node reads of a nested window
+    join.  ``nodes_accessed`` folds either into one node-read figure, the
+    unit the planner's cost estimates are stated in."""
+
+    pairs_visited: int = 0
+    pairs_pruned: int = 0
+    results: int = 0
+    outer_nodes: int = 0
+    inner_nodes: int = 0
+    probes: int = 0
+
+    @property
+    def nodes_accessed(self) -> int:
+        """Node reads: 2 per lockstep pair plus each nested-side read."""
+        return 2 * self.pairs_visited + self.outer_nodes + self.inner_nodes
 
 
 def spatial_join(left: Tree, right: Tree,
-                 predicate: JoinPredicate = Rect.intersects,
-                 stats: Optional["JoinStats"] = None,
+                 predicate: Callable[[Rect, Rect], bool] = Rect.intersects,
+                 stats: Optional[JoinStats] = None,
                  ) -> list[tuple[Any, Any]]:
     """All (left oid, right oid) pairs whose MBRs satisfy *predicate*.
 
@@ -37,56 +56,12 @@ def spatial_join(left: Tree, right: Tree,
 
     Returns an empty list when either tree is empty.
     """
-    if len(left) == 0 or len(right) == 0:
-        return []
-    out: list[tuple[Any, Any]] = []
-    if stats is None:
-        stats = JoinStats()
-    # A caller-supplied JoinStats may carry counts from earlier joins;
-    # only this call's deltas go to the observability counters.
-    visited0, pruned0, results0 = (stats.pairs_visited, stats.pairs_pruned,
-                                   stats.results)
-    with obs.timer("rtree.join"):
-        _join(left, right, predicate, out, stats)
-    if obs.ENABLED:
-        reg = obs.active()
-        reg.bump("rtree.join.joins")
-        reg.bump("rtree.join.pairs_visited", stats.pairs_visited - visited0)
-        reg.bump("rtree.join.pairs_pruned", stats.pairs_pruned - pruned0)
-        reg.bump("rtree.join.results", stats.results - results0)
-    return out
-
-
-class JoinStats:
-    """Node-pair accounting for one join.
-
-    ``pairs_visited``/``pairs_pruned`` count node *pairs* of a lockstep
-    descent; ``outer_nodes``/``inner_nodes``/``probes`` count the
-    per-side node reads of a nested window join.  ``nodes_accessed``
-    folds either strategy into one comparable node-read figure — the
-    unit the planner's cost estimates are stated in.
-    """
-
-    __slots__ = ("pairs_visited", "pairs_pruned", "results",
-                 "outer_nodes", "inner_nodes", "probes")
-
-    def __init__(self) -> None:
-        self.pairs_visited = 0
-        self.pairs_pruned = 0
-        self.results = 0
-        self.outer_nodes = 0
-        self.inner_nodes = 0
-        self.probes = 0
-
-    @property
-    def nodes_accessed(self) -> int:
-        """Node reads: 2 per lockstep pair plus each nested-side read."""
-        return (2 * self.pairs_visited + self.outer_nodes
-                + self.inner_nodes)
+    return _join(left, right, predicate, stats, nested=False)
 
 
 def nested_window_join(outer: Tree, inner: Tree,
-                       predicate: JoinPredicate = Rect.intersects,
+                       predicate: Callable[[Rect, Rect], bool]
+                       = Rect.intersects,
                        stats: Optional[JoinStats] = None,
                        ) -> list[tuple[Any, Any]]:
     """Index-nested-loop spatial join: *outer* drives window probes.
@@ -101,78 +76,102 @@ def nested_window_join(outer: Tree, inner: Tree,
     leaf MBR pairs and must imply rectangle intersection; the returned
     pairs are ``(outer oid, inner oid)``.
     """
-    if len(outer) == 0 or len(inner) == 0:
-        return []
-    if stats is None:
-        stats = JoinStats()
-    out: list[tuple[Any, Any]] = []
-    outer0, inner0, results0 = (stats.outer_nodes, stats.inner_nodes,
-                                stats.results)
-    fetch = inner.store.fetch
-    check = None if predicate is Rect.intersects else predicate
+    return _join(outer, inner, predicate, stats, nested=True)
 
-    def probe(ref: Any, window: Rect, outer_oid: Any) -> None:
-        stats.inner_nodes += 1
-        is_leaf, entries = fetch(ref)
-        wx1, wy1, wx2, wy2 = window
-        for x1, y1, x2, y2, child in entries:
-            if not (x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2):
-                if not is_leaf:
-                    stats.pairs_pruned += 1
-            elif not is_leaf:
-                probe(child, window, outer_oid)
-            elif check is None or check(window, Rect(x1, y1, x2, y2)):
-                out.append((outer_oid, child))
-                stats.results += 1
 
-    with obs.timer("rtree.join.nested"):
-        for _level, _ref, is_leaf, entries in outer.walk():
-            stats.outer_nodes += 1
-            if not is_leaf:
-                continue
-            for x1, y1, x2, y2, oid in entries:
-                stats.probes += 1
-                probe(inner.root, Rect(x1, y1, x2, y2), oid)
+def _join(a: Any, b: Any, predicate: Callable, stats: Optional[JoinStats],
+          nested: bool) -> list[tuple[Any, Any]]:
+    """Run the kernel from the two roots, or, *nested*, from each leaf
+    entry of *a* as a one-entry leaf of its own against *b*'s root."""
+    with ExitStack() as held:
+        # Disk indexes lend their trees locked, in one order: no deadlock.
+        lent = {id(x): held.enter_context(x.locked())
+                for x in sorted((a, b), key=id) if hasattr(x, "locked")}
+        a, b = lent.get(id(a), a), lent.get(id(b), b)
+        if len(a) == 0 or len(b) == 0:
+            return []
+        run = JoinStats()
+        with obs.timer("rtree.join.nested" if nested else "rtree.join"):
+            if nested:
+                nodes = list(a.walk())
+                probes = [(True, (entry,)) for _level, _ref, is_leaf, entries
+                          in nodes if is_leaf for entry in entries]
+                run.outer_nodes, run.probes = len(nodes), len(probes)
+                fetch_a = probes.__getitem__
+                pairs = [(i, b.root) for i in range(len(probes))]
+            else:
+                fetch_a, pairs = a.store.fetch, [(a.root, b.root)]
+            out, visited, run.pairs_pruned = _descend(
+                fetch_a, b.store.fetch, pairs, _leaf_test(predicate))
+    run.results = len(out)
+    setattr(run, "inner_nodes" if nested else "pairs_visited", visited)
+    counted = (("nested_joins", "outer_nodes", "inner_nodes") if nested
+               else ("joins", "pairs_visited", "pairs_pruned"))
+    if stats is not None:
+        for name in JoinStats.__slots__:
+            setattr(stats, name, getattr(stats, name) + getattr(run, name))
     if obs.ENABLED:
         reg = obs.active()
-        reg.bump("rtree.join.nested_joins")
-        reg.bump("rtree.join.outer_nodes", stats.outer_nodes - outer0)
-        reg.bump("rtree.join.inner_nodes", stats.inner_nodes - inner0)
-        reg.bump("rtree.join.results", stats.results - results0)
+        reg.bump("rtree.join." + counted[0])
+        for name in (*counted[1:], "results"):
+            reg.bump("rtree.join." + name, getattr(run, name))
     return out
 
 
-def _join(left: Tree, right: Tree, predicate: JoinPredicate,
-          out: list[tuple[Any, Any]], stats: JoinStats) -> None:
-    """The lockstep descent; a leaf side holds, as one pseudo-entry
-    bounding the whole leaf, while the other side descends."""
-    fetch_l, fetch_r = left.store.fetch, right.store.fetch
-    check = None if predicate is Rect.intersects else predicate
-
-    def join(a: Any, b: Any) -> None:
-        stats.pairs_visited += 1
-        a_leaf, a_entries = fetch_l(a)
-        b_leaf, b_entries = fetch_r(b)
+def _descend(fetch_a: Callable, fetch_b: Callable, pairs: list,
+             leaf_test: Callable) -> tuple[list, int, int]:
+    """The entry pairs passing *leaf_test* under the node pairs *pairs*,
+    and the node pairs visited and pruned.  A leaf side holds, as one
+    entry bounding it, while the other descends, depth first."""
+    visited = pruned = 0
+    leaves = []
+    stack = pairs[::-1]
+    pop = stack.pop
+    while stack:
+        a, b = pop()
+        visited += 1
+        a_leaf, a_entries = fetch_a(a)
+        b_leaf, b_entries = fetch_b(b)
         if a_leaf and b_leaf:
-            for ax1, ay1, ax2, ay2, a_oid in a_entries:
-                for bx1, by1, bx2, by2, b_oid in b_entries:
-                    if (ax1 <= bx2 and bx1 <= ax2 and ay1 <= by2
-                            and by1 <= ay2
-                            and (check is None
-                                 or check(Rect(ax1, ay1, ax2, ay2),
-                                          Rect(bx1, by1, bx2, by2)))):
-                        out.append((a_oid, b_oid))
-                        stats.results += 1
-            return
+            leaves.append((a_entries, b_entries))
+            continue
         if a_leaf:
-            a_entries = [node_mbr(a_entries) + (a,)]
+            a_entries = (node_mbr(a_entries) + (a,),)
         elif b_leaf:
-            b_entries = [node_mbr(b_entries) + (b,)]
-        for ax1, ay1, ax2, ay2, a_child in a_entries:
-            for bx1, by1, bx2, by2, b_child in b_entries:
-                if ax1 <= bx2 and bx1 <= ax2 and ay1 <= by2 and by1 <= ay2:
-                    join(a_child, b_child)
-                else:
-                    stats.pairs_pruned += 1
+            b_entries = (node_mbr(b_entries) + (b,),)
+        below = _intersecting(((a_entries, b_entries),))
+        pruned += len(a_entries) * len(b_entries) - len(below)
+        stack += below[::-1]
+    return leaf_test(leaves), visited, pruned
 
-    join(left.root, right.root)
+
+#: Each operator tests node pairs of flat ``(x1, y1, x2, y2, oid)`` entries;
+#: as x1 <= x2 and y1 <= y2, containment implies intersection.
+_LEAF_TESTS = {
+    **dict.fromkeys((predicates.intersects, Rect.intersects), lambda P: [
+        (a, b) for A, B in P for ax1, ay1, ax2, ay2, a in A
+        for bx1, by1, bx2, by2, b in B
+        if ax1 <= bx2 and bx1 <= ax2 and ay1 <= by2 and by1 <= ay2]),
+    **dict.fromkeys((predicates.overlapping, Rect.overlaps_interior),
+                    lambda P: [
+        (a, b) for A, B in P for ax1, ay1, ax2, ay2, a in A
+        for bx1, by1, bx2, by2, b in B
+        if ax1 < bx2 and bx1 < ax2 and ay1 < by2 and by1 < ay2]),
+    **dict.fromkeys((predicates.covers, Rect.contains), lambda P: [
+        (a, b) for A, B in P for ax1, ay1, ax2, ay2, a in A
+        for bx1, by1, bx2, by2, b in B
+        if ax1 <= bx1 and bx2 <= ax2 and ay1 <= by1 and by2 <= ay2]),
+    predicates.covered_by: lambda P: [
+        (a, b) for A, B in P for ax1, ay1, ax2, ay2, a in A
+        for bx1, by1, bx2, by2, b in B
+        if bx1 <= ax1 and ax2 <= bx2 and by1 <= ay1 and ay2 <= by2],
+}
+_intersecting = _LEAF_TESTS[Rect.intersects]
+
+
+def _leaf_test(predicate: Callable) -> Callable:
+    """*predicate*'s test; a foreign one gets the intersecting Rects."""
+    return _LEAF_TESTS.get(predicate) or (lambda P: [
+        (a[4], b[4]) for A, B in P for a in A for b in B
+        if a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+        and predicate(Rect(*a[:4]), Rect(*b[:4]))])

@@ -144,27 +144,39 @@ def encode_result(result: QueryResult) -> list[str]:
     against ``encode_result(session.execute(text))`` is a byte-level
     equivalence check.
 
-    Cells are formatted a column at a time and each row is joined once,
-    unescaped.  Counting separators over the whole body then proves in
-    four scans that no cell needed :func:`escape` (the usual case); when
-    the proof fails, only the rows that break it are rendered cell by
-    cell.
+    Each row is joined once, unescaped: all-string rows as they are,
+    others after formatting their cells a column at a time.  Counting
+    separators over the whole body then proves in four scans that no
+    cell needed :func:`escape` (the usual case), and the body is split
+    into frames at once; when the proof fails, only the rows that break
+    it are rendered cell by cell.
+
+    Raises:
+        ValueError: when the rows differ in width.
     """
     lines = [COLS + " " + "\t".join(escape(c) for c in result.columns)]
     rows = result.rows
     if rows:
-        # format_value, inlined: this is the per-cell loop.
-        cells = [[v if isinstance(v, str) else repr(v) for v in column]
-                 for column in zip(*rows, strict=True)]
-        tabs = max(len(cells) - 1, 0)
-        # (zero-width rows leave zip() nothing to transpose)
-        texts = (list(map("\t".join, zip(*cells))) if cells
-                 else [""] * len(rows))
-        if not _plain("\n".join(texts), len(texts) - 1, len(texts) * tabs):
-            texts = [text if _plain(text, 0, tabs)
-                     else "\t".join(map(escape, row))
-                     for text, row in zip(texts, zip(*cells))]
-        lines += [ROW + " " + text for text in texts]
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("result rows differ in width")
+        try:
+            # All-string rows, the usual case, join as they are.
+            texts = list(map("\t".join, rows))
+        except TypeError:
+            # format_value, inlined: this is the per-cell loop.
+            texts = list(map("\t".join, zip(*[
+                [v if isinstance(v, str) else repr(v) for v in column]
+                for column in zip(*rows)])))
+        tabs = max(len(rows[0]) - 1, 0)
+        body = "\n".join(texts)
+        if _plain(body, len(texts) - 1, len(texts) * tabs):
+            lines += (ROW + " " + body.replace("\n", "\n" + ROW + " ")
+                      ).split("\n")
+        else:
+            lines += [ROW + " " + (text if _plain(text, 0, tabs) else
+                                   "\t".join([escape(format_value(v))
+                                              for v in row]))
+                      for text, row in zip(texts, rows)]
     lines.append(END)
     return lines
 
@@ -179,6 +191,11 @@ def split_fields(payload: str) -> list[str]:
     return fields
 
 
+#: Bodies of this many rows or more are decoded in one pass; below it the
+#: pass costs more than the row-by-row loop it replaces.
+_BULK_ROWS = 8
+
+
 def decode_result(lines: Sequence[str],
                   ) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     """Invert :func:`encode_result`: ``(columns, rows)`` of payload lines.
@@ -186,7 +203,9 @@ def decode_result(lines: Sequence[str],
     A bare ``END`` (an acknowledgement's body) decodes to no columns and
     no rows.  ``ROW`` frames are split by the arity ``COLS`` announced,
     so a one-column row holding the empty string comes back as ``('',)``
-    exactly as the binary codec returns it.
+    exactly as the binary codec returns it.  A long body without
+    escapes whose rows all have that arity is split in one pass; any
+    other is decoded row by row.
 
     Raises:
         ProtocolError: on a missing ``END``, a foreign frame, a frame
@@ -203,8 +222,21 @@ def decode_result(lines: Sequence[str],
             f"expected a COLS frame, found {lines[0]!r} in OK body")
     columns = tuple(split_fields(payload))
     arity = len(columns)
+    body = lines[1:-1]
+    if arity and len(body) >= _BULK_ROWS:
+        # Each line a ROW frame: the only newlines are the joins.  The
+        # arity holds when every row-end marker lands a row's width apart.
+        text = "\n".join(body)
+        if (text.startswith("ROW ") and "\\" not in text
+                and text.count("\n") == text.count("\nROW ") == len(body) - 1):
+            cells = text[4:].replace("\nROW ", "\t\n\t").split("\t")
+            width = arity + 1
+            if (len(cells) == len(body) * width - 1
+                    and cells[arity::width].count("\n") == len(body) - 1):
+                del cells[arity::width]
+                return columns, list(zip(*[iter(cells)] * arity))
     rows: list[tuple[str, ...]] = []
-    for line in lines[1:-1]:
+    for line in body:
         tag, _, payload = line.partition(" ")
         if tag != ROW:
             raise ProtocolError(f"unexpected frame {line!r} in OK body")

@@ -6,10 +6,12 @@ import threading
 import pytest
 
 from repro.geometry import Point, Rect
+from repro.psql.executor import Session
 from repro.relational import Column, Database
 from repro.relational.catalog import index_items
 from repro.relational.diskindex import DiskSpatialIndex
 from repro.rtree import bulkload
+from repro.server.demo import demo_database
 from repro.storage import failpoints
 
 
@@ -152,3 +154,32 @@ class TestRebuildIndex:
                 t.join(10)
         assert not failures, failures
         disk.close()
+
+
+class TestJuxtapositionOverDisk:
+    """A juxtaposition whose pictures live on disk runs the join kernel
+    under each index's lock, and finds what the in-memory trees find."""
+
+    @pytest.mark.parametrize("op", ["intersecting", "overlapping"])
+    @pytest.mark.parametrize("on_disk", [("lakes",),
+                                         ("lakes", "time-zones")])
+    def test_matches_in_memory_pictures(self, tmp_path, op, on_disk):
+        query = ("select lake, zone from lakes, time-zones "
+                 "on lake-map, time-zone-map "
+                 f"at lakes.loc {op} time-zones.loc")
+        db = demo_database(scale=2)
+        want = sorted(Session(db).execute(query).rows)
+        assert want
+        pictures = {"lakes": "lake-map", "time-zones": "time-zone-map"}
+        indexes = [db.picture(pictures[name]).register_disk(
+                       db.relation(name), "loc", str(tmp_path / name))
+                   for name in on_disk]
+        try:
+            session = Session(db)
+            plan = "\n".join(row[0] for row in
+                              session.execute("explain " + query).rows)
+            assert "spatial-join" in plan
+            assert sorted(session.execute(query).rows) == want
+        finally:
+            for index in indexes:
+                index.close()

@@ -63,6 +63,15 @@ class TestPersistentRelation:
         assert row["city"] == "Springfield"
         assert row["loc"] == Point(10, 20)
 
+    def test_get_many(self, cities):
+        addrs = [cities.insert({"city": name, "population": 1,
+                                "loc": Point(0, 0)}) for name in "ABC"]
+        rows = cities.get_many([addrs[2], addrs[0]])
+        assert [row["city"] for row in rows] == ["C", "A"]
+        cities.delete(addrs[1])
+        with pytest.raises(KeyError):
+            cities.get_many(addrs)
+
     def test_schema_enforced(self, cities):
         with pytest.raises(SchemaError):
             cities.insert({"city": "X", "population": "many",

@@ -80,6 +80,15 @@ class TestRows:
         # Row ids of surviving rows are unchanged.
         assert cities.get(2)["city"] == "Lakeview"
 
+    def test_get_many_is_get_for_each_id(self, cities):
+        ids = [2, 0, 2, 1]
+        assert cities.get_many(ids) == [cities.get(rid) for rid in ids]
+        assert cities.get_many(set()) == []
+        cities.delete(1)
+        for bad in ([0, 1], [3], [0, -1]):
+            with pytest.raises(KeyError):
+                cities.get_many(bad)
+
     def test_delete_twice_raises(self, cities):
         cities.delete(0)
         with pytest.raises(KeyError):
