@@ -9,8 +9,8 @@ grows to block-sized fan-outs.
 import pytest
 
 from repro.geometry import Rect
-from repro.rtree.metrics import tree_stats
 from repro.rtree.packing import pack
+from repro.rtree.stats import tree_stats
 from repro.rtree.tree import RTree
 from repro.workloads import random_point_probes, uniform_points
 

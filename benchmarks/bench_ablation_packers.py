@@ -10,8 +10,8 @@ average query accesses.
 import pytest
 
 from repro.geometry import Rect
-from repro.rtree.metrics import tree_stats
 from repro.rtree.packing import pack
+from repro.rtree.stats import tree_stats
 from repro.workloads import (
     clustered_points,
     random_point_probes,

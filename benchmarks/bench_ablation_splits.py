@@ -10,8 +10,8 @@ baseline.
 import pytest
 
 from repro.geometry import Rect
-from repro.rtree.metrics import tree_stats
 from repro.rtree.packing import pack
+from repro.rtree.stats import tree_stats
 from repro.rtree.tree import RTree
 from repro.workloads import random_point_probes, uniform_points
 

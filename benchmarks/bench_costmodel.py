@@ -10,11 +10,8 @@ measurement for packed and dynamic trees across window sizes.
 import pytest
 
 from repro.geometry import Rect
-from repro.rtree.costmodel import (
-    expected_window_accesses,
-    measured_window_accesses,
-)
 from repro.rtree.packing import pack
+from repro.rtree.stats import measured_window_accesses, summarize
 from repro.rtree.tree import RTree
 from repro.workloads import TABLE1_UNIVERSE, uniform_points
 
@@ -41,12 +38,12 @@ def table(report, trees):
              f"{'ins est':>8} {'ins meas':>8}"]
     rows = {}
     for w in WINDOWS:
-        pe = expected_window_accesses(packed, w, w,
-                                      TABLE1_UNIVERSE).expected_accesses
+        pe = summarize(packed, TABLE1_UNIVERSE).expected_window_accesses(
+            w, w)
         pm = measured_window_accesses(packed, w, w, TABLE1_UNIVERSE,
                                       samples=300, seed=1)
-        de = expected_window_accesses(dynamic, w, w,
-                                      TABLE1_UNIVERSE).expected_accesses
+        de = summarize(dynamic, TABLE1_UNIVERSE).expected_window_accesses(
+            w, w)
         dm = measured_window_accesses(dynamic, w, w, TABLE1_UNIVERSE,
                                       samples=300, seed=1)
         rows[w] = (pe, pm, de, dm)
@@ -69,6 +66,7 @@ def test_model_orders_trees_like_reality(table):
 
 def test_estimator_speed(benchmark, trees):
     packed, _ = trees
-    est = benchmark(expected_window_accesses, packed, 50, 50,
-                    TABLE1_UNIVERSE)
-    assert est.expected_accesses > 1
+    est = benchmark(
+        lambda: summarize(packed, TABLE1_UNIVERSE).expected_window_accesses(
+            50, 50))
+    assert est > 1

@@ -9,8 +9,8 @@ time proxy (benchmarked separately), depth, nodes and accesses.
 import pytest
 
 from repro.geometry import Rect
-from repro.rtree.metrics import average_nodes_visited
 from repro.rtree.packing import pack
+from repro.rtree.stats import average_nodes_visited
 from repro.rtree.tree import RTree
 from repro.workloads import random_point_probes, uniform_points
 

@@ -17,8 +17,8 @@ import pytest
 from repro import obs
 from repro.experiments import format_table1, run_table1
 from repro.geometry import Rect
-from repro.rtree.metrics import average_nodes_visited
 from repro.rtree.packing import pack
+from repro.rtree.stats import average_nodes_visited
 from repro.rtree.tree import RTree
 from repro.workloads import TABLE1_J_VALUES, random_point_probes, uniform_points
 

@@ -11,8 +11,8 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.rtree.metrics import average_nodes_visited, coverage
 from repro.rtree.packing import pack
+from repro.rtree.stats import average_nodes_visited, coverage
 from repro.workloads import random_point_probes, uniform_points
 
 N = 800

@@ -11,7 +11,7 @@ dynamically built (Guttman INSERT) tree.
 
 from repro import Point, Rect, RTree, pack
 from repro.rtree import SearchStats, knn_search, node_mbr, window_search
-from repro.rtree.metrics import coverage, overlap
+from repro.rtree.stats import coverage, overlap
 from repro.viz import ascii_rects
 from repro.workloads import uniform_points
 

@@ -13,8 +13,8 @@ statistics the system already collects to concrete tuning actions:
   query server does this for you).
 - :func:`advise` replans the captured workload against
   :class:`WhatIfDatabase` catalogs carrying *hypothetical* B-trees and
-  re-packed R-tree summaries (hypopg-style: statistics are synthesized,
-  nothing is built) and ranks ``CREATE INDEX`` / ``REPACK`` actions by
+  re-packed R-tree summaries (hypopg-style: PACK runs without writing a
+  node, nothing is built) and ranks ``CREATE INDEX`` / ``REPACK`` actions by
   predicted workload savings.
 - :func:`run_health_checks` grades buffer, WAL, replica, cache and
   per-tree packing-degradation signals OK/WARN/FAIL.

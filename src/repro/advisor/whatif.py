@@ -1,19 +1,19 @@
 """What-if planning: cost plans against indexes that do not exist.
 
-hypopg for packed R-trees.  The PR 5 planner never touches an index
+hypopg for packed R-trees.  The planner never touches an index
 structure while costing — it reads catalog statistics
 (:meth:`Database.index_summary`) and existence tests
 (:meth:`Relation.index_on`).  So a *hypothetical* index needs nothing
-but synthetic answers to those two calls:
+but other answers to those two calls:
 
 - :class:`WhatIfDatabase` wraps a real catalog and overrides
   ``relation()`` (to graft hypothetical B-trees onto relations) and
-  ``index_summary()`` (to substitute synthesized R-tree statistics),
+  ``index_summary()`` (to substitute another R-tree summary),
   delegating everything else verbatim.
 - :func:`hypothetical_packed_summary` answers "what would this tree's
-  summary look like freshly PACKed?" — for small trees by actually
-  packing the leaf rectangles in memory (cheap: the summary already
-  kept them), for large ones by a closed-form uniform-tiling estimate.
+  summary be after ``REPACK``?" by running that rebuild's PACK through
+  a summary sink (:func:`repro.rtree.stats.pack_levels`), which writes
+  no node.
 
 ``plan_query(WhatIfDatabase(db, ...), query)`` then prices the
 hypothetical world with the production cost model, which is the entire
@@ -23,20 +23,17 @@ pick (or refuse to pick) the real index.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.geometry.rect import Rect
-from repro.relational.stats import IndexSummary, LevelAgg, summarize_index
-from repro.rtree.packing import pack
+from repro.relational.catalog import index_items, rebuild_method
+from repro.rtree.stats import IndexSummary, pack_levels
 
 __all__ = ["WhatIfDatabase", "hypothetical_packed_summary",
            "packed_degradation"]
 
-#: Re-PACK a hypothetical tree for real only while it has at most this
-#: many data entries (matches ``KEEP_RECTS_LIMIT``: beyond it the
-#: summary kept no rectangles to pack anyway).
-SIMULATE_PACK_LIMIT = 4096
+#: The reference window of :func:`packed_degradation`, as a fraction of
+#: each universe side.
+WINDOW_FRAC = 0.1
 
 
 class _HypoBTree:
@@ -127,73 +124,34 @@ class WhatIfDatabase:
 
 
 def hypothetical_packed_summary(db: Any, picture_name: str,
-                                relation_name: str, column: str = "loc",
-                                method: str = "hilbert") -> IndexSummary:
-    """The :class:`IndexSummary` this index would have freshly PACKed.
+                                relation_name: str,
+                                column: str = "loc") -> IndexSummary:
+    """The :class:`IndexSummary` ``REPACK`` would leave this index with.
 
-    The data entries are whatever the tree holds *now* — only the node
-    structure above them is hypothesized.  When the current summary kept
-    exact leaf rectangles (trees of at most ``KEEP_RECTS_LIMIT``
-    entries) the rectangles really are packed in memory and summarized,
-    so the answer uses the genuine PACK algorithm; larger trees get the
-    closed-form tiling estimate of :func:`synthesize_packed_summary`.
+    Runs the PACK that :meth:`Database.rebuild_index` runs — the same
+    items, fanout and :func:`~repro.relational.catalog.rebuild_method`
+    — through a sink that writes no node, so the answer is the real
+    packed structure at any size.  The disk loader groups levels above
+    the leaves in run order, so there the answer is close, not exact.
     """
-    current = db.index_summary(picture_name, relation_name, column)
-    index = db.picture(picture_name).index(relation_name, column)
-    universe = db.picture(picture_name).universe
-    fanout = getattr(index, "max_entries", None) or 16
-    if (current.leaf.rects is not None
-            and current.size <= SIMULATE_PACK_LIMIT):
-        items = [(rect, i) for i, rect in enumerate(current.leaf.rects)]
-        packed = pack(items, max_entries=fanout, method=method)
-        return summarize_index(packed, universe)
-    return synthesize_packed_summary(current, universe, fanout)
-
-
-def synthesize_packed_summary(current: IndexSummary, universe: Rect,
-                              fanout: int) -> IndexSummary:
-    """Closed-form packed summary: near-full square-ish tiling.
-
-    PACK produces nodes that are nearly full (Theorem 3.2: minimal node
-    count) with near-zero overlap; model each level as an even grid of
-    ``ceil(n / fanout)`` cells tiling the universe.  The data-entry
-    aggregate is carried over unchanged — packing rearranges nodes, not
-    data.
-    """
-    leaf = LevelAgg(count=current.leaf.count, sum_w=current.leaf.sum_w,
-                    sum_h=current.leaf.sum_h, sum_wh=current.leaf.sum_wh,
-                    rects=None)
-    levels: list[LevelAgg] = []
-    count = current.size
-    node_count = 1
-    while count > fanout:
-        count = math.ceil(count / fanout)
-        node_count += count
-        side = math.sqrt(float(count))
-        mean_w = universe.width / side
-        mean_h = universe.height / side
-        levels.append(LevelAgg(count=count, sum_w=count * mean_w,
-                               sum_h=count * mean_h,
-                               sum_wh=count * mean_w * mean_h,
-                               rects=None))
-    # ``levels`` was built bottom-up; ``internal`` lists children of the
-    # root first.
-    internal = tuple(reversed(levels))
-    return IndexSummary(size=current.size, depth=len(internal),
-                        node_count=node_count, universe=universe,
-                        internal=internal, leaf=leaf)
+    picture = db.picture(picture_name)
+    index = picture.index(relation_name, column)
+    levels = pack_levels(index_items(db.relation(relation_name), column),
+                         index.max_entries, rebuild_method(index))
+    return IndexSummary.of(levels, picture.universe)
 
 
 def packed_degradation(db: Any, picture_name: str, relation_name: str,
-                       column: str = "loc", window_frac: float = 0.1,
+                       column: str = "loc",
                        ) -> tuple[float, IndexSummary, IndexSummary]:
     """How much worse the live tree is than its freshly packed self.
 
     Returns ``(ratio, current, packed)`` where *ratio* compares the
-    expected node accesses of a reference window query (*window_frac* of
-    each universe side) on the current structure against the
-    hypothetical packed one.  1.0 means "as good as packed"; the
-    Section 3.4 update problem drives it upward as inserts accumulate.
+    expected node accesses of a reference window query
+    (:data:`WINDOW_FRAC` of each universe side) on the current structure
+    against the hypothetical packed one.  1.0 means "as good as packed";
+    the Section 3.4 update problem drives it upward as inserts
+    accumulate.
     """
     current = db.index_summary(picture_name, relation_name, column)
     packed = hypothetical_packed_summary(db, picture_name, relation_name,
@@ -204,8 +162,8 @@ def packed_degradation(db: Any, picture_name: str, relation_name: str,
         # reference window has no room to land, so there is no signal.
         # Report the no-data floor instead of dividing by zero below.
         return 1.0, current, packed
-    w = universe.width * window_frac
-    h = universe.height * window_frac
+    w = universe.width * WINDOW_FRAC
+    h = universe.height * WINDOW_FRAC
     now = current.expected_window_accesses(w, h)
     best = packed.expected_window_accesses(w, h)
     ratio = now / best if best > 0.0 else 1.0

@@ -14,9 +14,9 @@ from typing import Sequence
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.rotation import distinct_x_count, rotate_points
-from repro.rtree.metrics import coverage
 from repro.rtree.packing import pack
 from repro.rtree.search import SearchStats, window_search
+from repro.rtree.stats import coverage, walk_levels
 from repro.rtree.theory import (
     theorem_33_counterexample,
     verify_no_zero_overlap_grouping,
@@ -205,14 +205,9 @@ def run_fig38_stages(n: int = 48, seed: int = 8,
     items = [(Rect.from_point(p), i) for i, p in enumerate(pts)]
     tree = pack(items, max_entries=max_entries, method="nn")
 
-    levels: list[list[Rect]] = []
-    for level, _ref, _is_leaf, entries in tree.walk():
-        if level == len(levels):
-            levels.append([])
-        if entries:
-            levels[level].append(Rect(*node_mbr(entries)))
-    return PackStages(points=tuple(pts),
-                      levels=tuple(tuple(r) for r in reversed(levels)))
+    levels = [tuple(Rect(*node_mbr(n)) for n in nodes if n)
+              for nodes in walk_levels(tree)]
+    return PackStages(points=tuple(pts), levels=tuple(reversed(levels)))
 
 
 # ---------------------------------------------------------------------------

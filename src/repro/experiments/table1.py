@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.geometry.rect import Rect
-from repro.rtree.metrics import TreeStats, tree_stats
 from repro.rtree.packing import pack
+from repro.rtree.stats import TreeStats, tree_stats
 from repro.rtree.tree import RTree
 from repro.workloads.queries import random_point_probes
 from repro.workloads.uniform import (

@@ -36,7 +36,7 @@ from repro.psql import ast
 from repro.psql.errors import PsqlSemanticError
 from repro.relational.catalog import Database
 from repro.relational.relation import Relation
-from repro.relational.stats import IndexSummary, LevelAgg
+from repro.rtree.stats import IndexSummary, LevelAgg
 
 __all__ = ["Plan", "PlanNode", "merge_shard_plans", "plan_query",
            "sargable_conjuncts", "SEL_EQ", "SEL_RANGE", "SEL_NEQ"]

@@ -19,6 +19,7 @@ from repro.geometry.segment import Segment
 from repro.relational.relation import Column, Relation, RowId, SchemaError
 from repro.rtree.packing import pack
 from repro.rtree.repack import RepackResult, local_repack
+from repro.rtree.stats import summarize
 from repro.rtree.tree import RTree
 
 
@@ -48,6 +49,15 @@ def mbr_of_value(value: Any) -> Rect:
     if isinstance(value, Rect):
         return value
     raise TypeError(f"{type(value).__name__} is not a pictorial value")
+
+
+def rebuild_method(index: Any) -> str:
+    """The PACK grouping ``REPACK`` rebuilds *index* with, and so the one
+    its what-if prices: the streamed loader's Hilbert order for a disk
+    index, the paper's NN for a tree in memory."""
+    from repro.relational.diskindex import DiskSpatialIndex
+
+    return "hilbert" if isinstance(index, DiskSpatialIndex) else "nn"
 
 
 class Picture:
@@ -391,13 +401,14 @@ class Database:
         index = picture.index(relation_name, column)
         relation = self.relation(relation_name)
         items = index_items(relation, column)
+        method = method or rebuild_method(index)
         if isinstance(index, DiskSpatialIndex):
-            index.rebuild(items, method=method or "hilbert",
-                          run_size=run_size, workers=workers)
+            index.rebuild(items, method=method, run_size=run_size,
+                          workers=workers)
             count = len(index)
         else:
             tree = pack(list(items), max_entries=index.max_entries,
-                        method=method or "nn")
+                        method=method)
             picture._indexes[(relation_name, column)] = tree
             count = len(tree)
         self._generation += 1
@@ -407,23 +418,21 @@ class Database:
                       column: str = "loc"):
         """Planner statistics for one picture index, cached per generation.
 
-        Returns an :class:`~repro.relational.stats.IndexSummary` built
-        from the live index.  The summary is recomputed lazily whenever
+        Returns an :class:`~repro.rtree.stats.IndexSummary` built from
+        the live index.  The summary is recomputed lazily whenever
         the data :attr:`generation` has moved past the cached one, so a
         plan costed from it always reflects the current tree structure.
 
         Raises:
             KeyError: when picture, relation or association is unknown.
         """
-        from repro.relational.stats import summarize_index
-
         picture = self.picture(picture_name)
         index = picture.index(relation_name, column)
         key = (picture_name, relation_name, column)
         cached = self._index_summaries.get(key)
         if cached is not None and cached[0] == self._generation:
             return cached[1]
-        summary = summarize_index(index, picture.universe)
+        summary = summarize(index, picture.universe)
         self._index_summaries[key] = (self._generation, summary)
         return summary
 

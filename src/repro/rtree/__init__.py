@@ -3,7 +3,7 @@
 Exports the dynamic :class:`~repro.rtree.tree.RTree` (Guttman INSERT /
 DELETE / SEARCH, written once in :class:`~repro.rtree.tree.Tree` over a
 node store), the :func:`~repro.rtree.packing.pack` family of bulk loaders
-(Section 3.3), the coverage/overlap metrics of Section 3.1 and the
+(Section 3.3), the tree statistics of Sections 3.1 and 3.5 and the
 constructive theory results of Section 3.2.
 """
 
@@ -24,13 +24,6 @@ from repro.rtree.packing import (
     pack_nearest_neighbor,
     pack_str,
 )
-from repro.rtree.metrics import (
-    TreeStats,
-    average_nodes_visited,
-    coverage,
-    overlap,
-    tree_stats,
-)
 from repro.rtree.search import (
     SearchStats,
     knn_search,
@@ -38,11 +31,17 @@ from repro.rtree.search import (
     window_search,
     window_search_within,
 )
-from repro.rtree.analysis import TreeReport, analyze, dump_tree, format_report
-from repro.rtree.costmodel import (
-    CostEstimate,
-    expected_window_accesses,
+from repro.rtree.stats import (
+    TreeReport,
+    TreeStats,
+    analyze,
+    average_nodes_visited,
+    coverage,
+    dump_tree,
+    format_report,
     measured_window_accesses,
+    overlap,
+    tree_stats,
 )
 from repro.rtree.join import JoinStats, spatial_join
 from repro.rtree.repack import (RepackResult, local_repack,
@@ -55,7 +54,6 @@ from repro.rtree.theory import (
 )
 
 __all__ = [
-    "CostEstimate",
     "ExhaustiveSplit",
     "JoinStats",
     "LinearSplit",
@@ -75,7 +73,6 @@ __all__ = [
     "average_nodes_visited",
     "coverage",
     "dump_tree",
-    "expected_window_accesses",
     "format_report",
     "get_split_strategy",
     "knn_search",

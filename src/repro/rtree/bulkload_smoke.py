@@ -27,6 +27,7 @@ import tempfile
 from repro.geometry.rect import Rect
 from repro.rtree.bulkload import bulk_load_stream
 from repro.rtree.packing import _level_sizes
+from repro.rtree.stats import walk_levels
 from repro.storage.disk_rtree import DiskRTree
 from repro.workloads import random_windows, stream_uniform_point_items
 
@@ -55,11 +56,7 @@ def _structure_failures(tree: DiskRTree) -> list[str]:
         tree.validate()
     except AssertionError as exc:
         failures.append(f"validate: {exc}")
-    sizes: list[int] = []
-    for level, _page, _is_leaf, _entries in tree.walk():
-        if level == len(sizes):
-            sizes.append(0)
-        sizes[level] += 1
+    sizes = [len(nodes) for nodes in walk_levels(tree)]
     chain = _level_sizes(len(tree), tree.max_entries)
     if sizes[::-1] != chain:
         failures.append(f"level sizes {sizes[::-1]} (leaves first) break "

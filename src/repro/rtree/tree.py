@@ -220,12 +220,6 @@ class Tree:
             self._count_knn(nodes, len(out))
         return out
 
-    def count_query_accesses(self, point: Point) -> int:
-        """Nodes visited by a point query — one sample of Table 1's A."""
-        stats = SearchStats()
-        self.point_query(point, stats)
-        return stats.nodes_visited
-
     # -- the level-order walk -------------------------------------------------
 
     def walk(self, ref: Any = None,

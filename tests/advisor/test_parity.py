@@ -5,18 +5,27 @@ but the bill the production planner will present once the action is
 applied.  For a hypothetical B-tree that equality is exact — the cost
 model prices an index scan from the relation's size and the predicate's
 selectivity, both identical in the hypothetical and the real world.
-For a repack the synthesized structure is an estimate, so the claim is
-directional: the real rebuilt tree plans no worse than predicted-ish
-and strictly better than before.
+For a repack it is exact too: the what-if runs the very PACK that
+``REPACK`` runs, through a sink that writes no node.  On disk the
+streamed loader groups the levels above the leaves in run order, so
+there the structure matches to the node and the cost to within 2%.
 """
+
+import random
 
 import pytest
 
-from repro.advisor import QueryLog, advise, packed_degradation
-from repro.advisor.smoke import PROBES, build_degraded_database
+from repro.advisor import (QueryLog, advise, hypothetical_packed_summary,
+                           packed_degradation)
+from repro.advisor.smoke import (CLUSTERS, PROBES, UNIVERSE,
+                                 build_degraded_database)
+from repro.geometry.point import Point
 from repro.psql.executor import Session
 from repro.psql.parser import parse
 from repro.psql.planner import plan_query
+from repro.relational.catalog import Database
+from repro.relational.relation import Column
+from repro.rtree.packing import _level_sizes
 
 
 def _capture(db, texts) -> QueryLog:
@@ -55,6 +64,10 @@ class TestBTreeParity:
         assert "index-scan points.val" in after
 
 
+#: the reference window of ``packed_degradation``: a tenth of each side
+WINDOW = 0.1 * UNIVERSE.width
+
+
 class TestRepackParity:
     def test_repack_improves_ratio_and_bill(self):
         db = build_degraded_database()
@@ -64,8 +77,8 @@ class TestRepackParity:
         report = advise(db, log, top=30)
         rec = next(r for r in report.recommendations
                    if r.kind == "repack")
-        ratio_before, _, _ = packed_degradation(db, "map", "points",
-                                                "loc")
+        ratio_before, _, predicted = packed_degradation(db, "map", "points",
+                                                        "loc")
         assert ratio_before >= 1.25
         rec.apply(db)
         ratio_after, _, _ = packed_degradation(db, "map", "points", "loc")
@@ -73,6 +86,55 @@ class TestRepackParity:
         queries = [parse(t) for t in texts]
         replanned = sum(plan_query(db, q).root.est_cost for q in queries)
         assert replanned < rec.cost_before
-        # The synthesized packed summary is a model of the rebuild, not
-        # the rebuild itself; allow 15% slack around the prediction.
-        assert replanned == pytest.approx(rec.cost_after, rel=0.15)
+        assert replanned == rec.cost_after
+        rebuilt = db.index_summary("map", "points", "loc")
+        assert rebuilt.node_count == predicted.node_count
+        assert (rebuilt.expected_window_accesses(WINDOW, WINDOW)
+                == predicted.expected_window_accesses(WINDOW, WINDOW))
+
+
+def _churn(db: Database, start: int, count: int, seed: int = 3) -> None:
+    """Clustered inserts through the Section 3.4 update path."""
+    rng = random.Random(seed)
+    for i in range(count):
+        cx, cy = CLUSTERS[i % len(CLUSTERS)]
+        db.insert("points", {"id": start + i, "loc": Point(
+            min(max(rng.gauss(cx, 40.0), 0.0), 1000.0),
+            min(max(rng.gauss(cy, 40.0), 0.0), 1000.0))})
+
+
+class TestWhatIfAtScale:
+    """Trees above the 4,096 entries the planner keeps rectangles for."""
+
+    @staticmethod
+    def _assert_what_if_is_the_rebuild(db: Database, rel: float) -> None:
+        predicted = hypothetical_packed_summary(db, "map", "points", "loc")
+        fanout = db.picture("map").index("points", "loc").max_entries
+        db.rebuild_index("map", "points", "loc")
+        rebuilt = db.index_summary("map", "points", "loc")
+        assert predicted.leaf.rects is None  # the aggregate branch
+        assert predicted.node_count == rebuilt.node_count == sum(
+            _level_sizes(rebuilt.size, fanout))
+        assert predicted.expected_window_accesses(WINDOW, WINDOW) == (
+            pytest.approx(rebuilt.expected_window_accesses(WINDOW, WINDOW),
+                          rel=rel))
+
+    def test_memory_index(self):
+        db = build_degraded_database(n0=7800, churn=1200, max_entries=16)
+        self._assert_what_if_is_the_rebuild(db, rel=1e-9)
+
+    def test_disk_index(self, tmp_path):
+        rng = random.Random(5)
+        db = Database()
+        points = db.create_relation("points", [Column("id", "int"),
+                                               Column("loc", "point")])
+        for i in range(18_000):
+            points.insert({"id": i, "loc": Point(rng.uniform(0, 1000),
+                                                 rng.uniform(0, 1000))})
+        index = db.create_picture("map", UNIVERSE).register_disk(
+            points, "loc", str(tmp_path / "points.idx"))
+        try:
+            _churn(db, 18_000, 1_200)
+            self._assert_what_if_is_the_rebuild(db, rel=0.02)
+        finally:
+            index.close()

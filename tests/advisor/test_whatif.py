@@ -1,4 +1,4 @@
-"""WhatIfDatabase and hypothetical summaries: synthesized, never built.
+"""WhatIfDatabase and hypothetical summaries: priced, never built.
 
 The planner costs exactly two catalog reads — ``relation().index_on()``
 and ``index_summary()`` — so a hypothetical catalog only has to answer
@@ -12,7 +12,6 @@ import pytest
 
 from repro.advisor import (WhatIfDatabase, hypothetical_packed_summary,
                            packed_degradation)
-from repro.advisor.whatif import synthesize_packed_summary
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.psql.parser import parse
@@ -103,15 +102,6 @@ class TestHypotheticalRepack:
         assert ratio_churned > ratio_fresh
         assert ratio_fresh == pytest.approx(1.0, abs=0.15)
 
-    def test_synthesized_summary_matches_tree_shape(self):
-        db = degraded_db(churn=0)
-        current = db.index_summary("map", "points", "loc")
-        synthetic = synthesize_packed_summary(
-            current, Rect(0, 0, 1000, 1000), 16)
-        assert synthetic.size == current.size
-        # ceil(400/16) = 25 leaves, ceil(25/16) = 2, then the root.
-        assert synthetic.depth == current.depth
-
     def test_unknown_target_raises(self):
         db = degraded_db(churn=0)
         with pytest.raises(KeyError):
@@ -140,8 +130,8 @@ class TestDegenerateUniverse:
         assert current.size == packed.size == 40
 
     def test_aggregate_estimate_survives_zero_area(self):
-        from repro.relational.stats import LevelAgg
-        agg = LevelAgg(count=7, sum_w=0.0, sum_h=0.0, sum_wh=0.0,
+        from repro.rtree.stats import LevelAgg
+        agg = LevelAgg(nodes=1, count=7, sum_w=0.0, sum_h=0.0, sum_wh=0.0,
                        rects=None)
         est = agg.expected_intersecting(10.0, 10.0,
                                         Rect(5.0, 5.0, 5.0, 5.0))

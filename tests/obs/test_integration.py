@@ -2,7 +2,7 @@
 
 Three contracts the ISSUE pins down:
 
-- the obs-derived average-nodes-visited equals the :mod:`repro.rtree.metrics`
+- the obs-derived average-nodes-visited equals the :mod:`repro.rtree.stats`
   value Table 1 has always reported;
 - :class:`~repro.storage.buffer.BufferStats` behaves exactly as the seed's
   plain dataclass did, and global mirroring only happens while enabled;
@@ -19,11 +19,12 @@ from repro.geometry import Point, Rect
 from repro.experiments.table1 import run_table1_row
 from repro.psql.executor import Session
 from repro.psql.repl import build_demo_database
-from repro.rtree.metrics import average_nodes_visited, random_point_queries
+from repro.rtree.stats import average_nodes_visited
 from repro.rtree.packing import pack
 from repro.rtree.search import SearchStats
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.pager import Pager
+from repro.workloads.queries import random_point_probes
 
 
 def small_tree(n=200, m=4, seed=7):
@@ -39,7 +40,7 @@ def small_tree(n=200, m=4, seed=7):
 
 def test_obs_average_nodes_visited_matches_metrics():
     tree = small_tree()
-    probes = random_point_queries(64, Rect(0, 0, 1000, 1000), seed=3)
+    probes = random_point_probes(64, Rect(0, 0, 1000, 1000), seed=3)
     expected = average_nodes_visited(tree, probes)
     with obs.scope(enable=True) as reg:
         for p in probes:

@@ -1,7 +1,7 @@
 """Database.index_summary cache: keyed on generation, never stale.
 
 The advisor's degradation checks and the planner's cost model both read
-cached :class:`~repro.relational.stats.IndexSummary` objects; a summary
+cached :class:`~repro.rtree.stats.IndexSummary` objects; a summary
 surviving a REPACK would keep reporting the degraded structure (or,
 worse, keep pricing plans against it).
 """

@@ -4,8 +4,8 @@ import pytest
 
 from repro.geometry import Rect
 from repro.rtree import RTree
-from repro.rtree.analysis import analyze, format_report
 from repro.rtree.packing import pack
+from repro.rtree.stats import analyze, format_report
 
 
 @pytest.fixture()
@@ -81,7 +81,7 @@ def test_format_report(packed):
 
 
 def test_dump_tree(packed):
-    from repro.rtree.analysis import dump_tree
+    from repro.rtree.stats import dump_tree
     text = dump_tree(packed)
     lines = text.splitlines()
     assert lines[0].startswith("node ")
@@ -93,12 +93,12 @@ def test_dump_tree(packed):
 
 
 def test_dump_tree_elides_large_leaves(small_items):
-    from repro.rtree.analysis import dump_tree
+    from repro.rtree.stats import dump_tree
     big = pack(small_items, max_entries=16)
     text = dump_tree(big, max_entries_shown=2)
     assert "more" in text
 
 
 def test_dump_empty_tree():
-    from repro.rtree.analysis import dump_tree
+    from repro.rtree.stats import dump_tree
     assert "(empty)" in dump_tree(RTree())

@@ -5,12 +5,17 @@ import pytest
 
 from repro.geometry import Rect
 from repro.rtree import RTree
-from repro.rtree.costmodel import (
-    expected_window_accesses,
-    measured_window_accesses,
-)
 from repro.rtree.packing import pack
+from repro.rtree.stats import (
+    measured_window_accesses,
+    node_visit_probability,
+    summarize,
+)
 from repro.workloads import TABLE1_UNIVERSE, uniform_points
+
+
+def expected(tree, w, h, universe=TABLE1_UNIVERSE):
+    return summarize(tree, universe).expected_window_accesses(w, h)
 
 
 @pytest.fixture(scope="module")
@@ -25,17 +30,18 @@ def trees():
 
 def test_estimate_structure(trees):
     packed, _ = trees
-    est = expected_window_accesses(packed, 50, 50, TABLE1_UNIVERSE)
-    assert est.per_level[0] == 1.0  # the root is always read
-    assert est.expected_accesses == pytest.approx(sum(est.per_level))
-    assert len(est.per_level) == packed.depth + 1
+    summary = summarize(packed, TABLE1_UNIVERSE)
+    # One term per level below the root, which is always read.
+    assert len(summary.internal) == packed.depth
+    per_level = [agg.expected_intersecting(50, 50, TABLE1_UNIVERSE)
+                 for agg in summary.internal]
+    assert summary.expected_window_accesses(50, 50) == pytest.approx(
+        1.0 + sum(per_level))
 
 
 def test_estimate_monotone_in_window_size(trees):
     packed, _ = trees
-    small = expected_window_accesses(packed, 10, 10, TABLE1_UNIVERSE)
-    large = expected_window_accesses(packed, 200, 200, TABLE1_UNIVERSE)
-    assert small.expected_accesses < large.expected_accesses
+    assert expected(packed, 10, 10) < expected(packed, 200, 200)
 
 
 @pytest.mark.parametrize("w", [20.0, 80.0, 200.0])
@@ -47,10 +53,9 @@ def test_estimate_matches_measurement(trees, w):
     over a 10x window-size range validates the model.
     """
     packed, _ = trees
-    est = expected_window_accesses(packed, w, w, TABLE1_UNIVERSE)
     measured = measured_window_accesses(packed, w, w, TABLE1_UNIVERSE,
                                         samples=300, seed=5)
-    assert est.expected_accesses == pytest.approx(measured, rel=0.25)
+    assert expected(packed, w, w) == pytest.approx(measured, rel=0.25)
 
 
 def test_papers_thesis_packed_cheaper(trees):
@@ -58,15 +63,13 @@ def test_papers_thesis_packed_cheaper(trees):
     the measurements do — the quantitative core of Section 3.1."""
     packed, dynamic = trees
     for w in (20.0, 80.0):
-        est_packed = expected_window_accesses(packed, w, w, TABLE1_UNIVERSE)
-        est_dynamic = expected_window_accesses(dynamic, w, w,
-                                               TABLE1_UNIVERSE)
+        est_packed = expected(packed, w, w)
+        est_dynamic = expected(dynamic, w, w)
         meas_packed = measured_window_accesses(packed, w, w,
                                                TABLE1_UNIVERSE, seed=7)
         meas_dynamic = measured_window_accesses(dynamic, w, w,
                                                 TABLE1_UNIVERSE, seed=7)
-        assert (est_packed.expected_accesses
-                < est_dynamic.expected_accesses)
+        assert est_packed < est_dynamic
         assert meas_packed < meas_dynamic
 
 
@@ -99,16 +102,13 @@ def test_boundary_clipping_matches_measurement_within_10pct():
     items = [(Rect(x, y, x, y), i) for i, (x, y) in enumerate(pts)]
     tree = pack(items, max_entries=4)
     for w in (100.0, 300.0):
-        est = expected_window_accesses(tree, w, w, TABLE1_UNIVERSE)
         measured = measured_window_accesses(tree, w, w, TABLE1_UNIVERSE,
                                             samples=2000, seed=3)
-        assert est.expected_accesses == pytest.approx(measured, rel=0.10)
+        assert expected(tree, w, w) == pytest.approx(measured, rel=0.10)
 
 
 def test_clipping_never_exceeds_unclipped_estimate(trees):
     """The clipped probability is bounded by the naive Minkowski term."""
-    from repro.rtree.costmodel import node_visit_probability
-
     packed, _ = trees
     for _level, _ref, is_leaf, entries in packed.walk():
         if is_leaf:
@@ -124,19 +124,17 @@ def test_clipping_never_exceeds_unclipped_estimate(trees):
 
 def test_zero_window_degenerates_to_point_probe(trees):
     packed, _ = trees
-    est = expected_window_accesses(packed, 0, 0, TABLE1_UNIVERSE)
     # A point probe visits at least the root and at most everything.
-    assert 1.0 <= est.expected_accesses <= packed.node_count
+    assert 1.0 <= expected(packed, 0, 0) <= packed.node_count
 
 
 def test_validation_errors(trees):
     packed, _ = trees
     with pytest.raises(ValueError):
-        expected_window_accesses(packed, -1, 0, TABLE1_UNIVERSE)
+        expected(packed, -1, 0)
     with pytest.raises(ValueError):
-        expected_window_accesses(packed, 1, 1, Rect(0, 0, 0, 5))
+        expected(packed, 1, 1, Rect(0, 0, 0, 5))
 
 
-def test_empty_tree_costs_one(TABLE1=TABLE1_UNIVERSE):
-    est = expected_window_accesses(RTree(), 10, 10, TABLE1)
-    assert est.expected_accesses == 1.0
+def test_empty_tree_costs_one():
+    assert expected(RTree(), 10, 10) == 1.0

@@ -4,15 +4,15 @@ import pytest
 
 from repro.geometry import Point, Rect
 from repro.rtree import RTree
-from repro.rtree.metrics import (
+from repro.rtree.packing import pack
+from repro.rtree.stats import (
     average_nodes_visited,
     coverage,
     leaf_mbrs,
     overlap,
-    random_point_queries,
     tree_stats,
 )
-from repro.rtree.packing import pack
+from repro.workloads.queries import random_point_probes
 
 
 def single_leaf_tree(*rects) -> RTree:
@@ -73,7 +73,7 @@ def test_average_nodes_visited_requires_queries():
 
 def test_tree_stats_columns(small_items):
     t = pack(small_items, max_entries=4)
-    queries = random_point_queries(50, Rect(0, 0, 1000, 1000), seed=3)
+    queries = random_point_probes(50, Rect(0, 0, 1000, 1000), seed=3)
     stats = tree_stats(t, queries)
     assert stats.size == len(small_items)
     assert stats.depth == t.depth
@@ -83,17 +83,3 @@ def test_tree_stats_columns(small_items):
     assert stats.avg_nodes_visited >= 1.0
     c, o, d, n, a = stats.as_row()
     assert (c, d, n) == (stats.coverage, stats.depth, stats.node_count)
-
-
-def test_random_point_queries_deterministic():
-    u = Rect(0, 0, 10, 10)
-    assert random_point_queries(5, u, seed=9) == random_point_queries(
-        5, u, seed=9)
-    assert random_point_queries(5, u, seed=9) != random_point_queries(
-        5, u, seed=10)
-
-
-def test_random_point_queries_inside_universe():
-    u = Rect(100, 200, 300, 400)
-    for p in random_point_queries(100, u, seed=1):
-        assert u.contains_point(p)

@@ -129,7 +129,7 @@ class TestNearestNeighborSpecifics:
 class TestComparators:
     def test_lowx_zero_overlap_on_points(self, small_items):
         """x-run packing of points realises Theorem 3.2: zero leaf overlap."""
-        from repro.rtree.metrics import overlap
+        from repro.rtree.stats import overlap
         t = pack_lowx(small_items, max_entries=4)
         # Uniform random points have distinct x with probability 1.
         assert overlap(t, method="union") == pytest.approx(0.0)
@@ -176,11 +176,11 @@ class TestPackRegions:
     def test_theorem33_in_practice(self, region_items):
         """Unlike points (Thm 3.2), region packs generally keep some
         overlap — Theorem 3.3 made empirical."""
-        from repro.rtree.metrics import overlap
+        from repro.rtree.stats import overlap
         t = pack(region_items, max_entries=4, method="lowx")
         # Overlap may be zero for lucky layouts, but coverage must at
         # least include every object's own area.
-        from repro.rtree.metrics import coverage
+        from repro.rtree.stats import coverage
         assert coverage(t) >= sum(r.area() for r, _ in region_items) - 1e-6
         assert overlap(t, method="union") >= 0.0
 

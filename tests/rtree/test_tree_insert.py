@@ -123,8 +123,10 @@ class TestQueries:
         intersecting = set(tree.search(window))
         assert within <= intersecting
 
-    def test_count_query_accesses_at_least_root(self, tree):
-        assert tree.count_query_accesses(Point(-1, -1)) >= 1
+    def test_point_query_counts_at_least_root(self, tree):
+        stats = SearchStats()
+        tree.point_query(Point(-1, -1), stats)
+        assert stats.nodes_visited >= 1
 
     def test_on_node_callback_counts(self, tree):
         stats = SearchStats()

@@ -85,6 +85,18 @@ class TestQueries:
         for p in random_point_probes(100, seed=2):
             assert TABLE1_UNIVERSE.contains_point(p)
 
+    def test_probes_inside_given_universe(self):
+        u = Rect(100, 200, 300, 400)
+        for p in random_point_probes(100, u, seed=1):
+            assert u.contains_point(p)
+
+    def test_probes_deterministic(self):
+        u = Rect(0, 0, 10, 10)
+        assert random_point_probes(5, u, seed=9) == random_point_probes(
+            5, u, seed=9)
+        assert random_point_probes(5, u, seed=9) != random_point_probes(
+            5, u, seed=10)
+
     def test_windows_clamped(self):
         for w in random_windows(100, max_extent=300, seed=2):
             assert TABLE1_UNIVERSE.contains(w)
