@@ -26,7 +26,7 @@ def build(tmp_dir, name, items, bulk):
     tree = DiskRTree(os.path.join(tmp_dir, name), max_entries=32,
                      buffer_capacity=16)
     if bulk:
-        tree.bulk_load(items)
+        tree.bulk_load(items, method="nn")  # the paper's PACK
     else:
         for r, i in items:
             tree.insert(r, i)
@@ -95,7 +95,7 @@ def test_disk_bulk_load_speed(benchmark, items, tmp_path_factory):
         path = os.path.join(tmp_dir, f"load{counter[0]}.db")
         counter[0] += 1
         tree = DiskRTree(path, max_entries=32)
-        tree.bulk_load(items)
+        tree.bulk_load(items, method="nn")
         tree.close()
 
     benchmark.pedantic(load, rounds=3, iterations=1)

@@ -13,7 +13,8 @@ but other answers to those two calls:
 - :func:`hypothetical_packed_summary` answers "what would this tree's
   summary be after ``REPACK``?" by running that rebuild's PACK through
   a summary sink (:func:`repro.rtree.stats.pack_levels`), which writes
-  no node.
+  no node; the catalog caches the answer per generation
+  (:meth:`~repro.relational.catalog.Database.packed_summary`).
 
 ``plan_query(WhatIfDatabase(db, ...), query)`` then prices the
 hypothetical world with the production cost model, which is the entire
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.relational.catalog import index_items, rebuild_method
-from repro.rtree.stats import IndexSummary, pack_levels
+from repro.rtree.stats import IndexSummary
 
 __all__ = ["WhatIfDatabase", "hypothetical_packed_summary",
            "packed_degradation"]
@@ -126,19 +126,10 @@ class WhatIfDatabase:
 def hypothetical_packed_summary(db: Any, picture_name: str,
                                 relation_name: str,
                                 column: str = "loc") -> IndexSummary:
-    """The :class:`IndexSummary` ``REPACK`` would leave this index with.
-
-    Runs the PACK that :meth:`Database.rebuild_index` runs — the same
-    items, fanout and :func:`~repro.relational.catalog.rebuild_method`
-    — through a sink that writes no node, so the answer is the real
-    packed structure at any size.  The disk loader groups levels above
-    the leaves in run order, so there the answer is close, not exact.
-    """
-    picture = db.picture(picture_name)
-    index = picture.index(relation_name, column)
-    levels = pack_levels(index_items(db.relation(relation_name), column),
-                         index.max_entries, rebuild_method(index))
-    return IndexSummary.of(levels, picture.universe)
+    """The :class:`IndexSummary` ``REPACK`` would leave this index with:
+    :meth:`Database.packed_summary`, one PACK per index per generation,
+    shared by HEALTH, ADVISE and MAINTAIN."""
+    return db.packed_summary(picture_name, relation_name, column)
 
 
 def packed_degradation(db: Any, picture_name: str, relation_name: str,

@@ -127,7 +127,7 @@ def _keep_row(rel: ClusterRelation, row: dict[str, Any],
     mbrs = _row_mbrs(rel, row)
     if not mbrs:
         return True
-    return any(shard_id in shardmap.shards_for_rect(m) for m in mbrs)
+    return any(shard_id in shardmap.shards_storing(m) for m in mbrs)
 
 
 def build_database(dataset: ClusterDataset,

@@ -1,7 +1,7 @@
 """Hilbert-range spatial partitioning for the cluster tier.
 
-The bulk loader already orders objects by the Hilbert curve index of
-their MBR centers (:func:`repro.rtree.bulkload.hilbert_sort_key`); a
+The ``hilbert`` packer orders objects by the Hilbert curve index of
+their MBR centers (:func:`repro.rtree.hilbert.hilbert_key`); a
 shard is simply a contiguous range of that key space.  A
 :class:`ShardMap` materialises the mapping both ways:
 
@@ -28,8 +28,7 @@ from bisect import bisect_right
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.rtree.bulkload import hilbert_sort_key
-from repro.rtree.hilbert import hilbert_d
+from repro.rtree.hilbert import hilbert_d, hilbert_key
 
 __all__ = ["ShardMap"]
 
@@ -42,7 +41,7 @@ class ShardMap:
         nshards: number of primary shards (>= 1).
         order: Hilbert curve order of the *routing* grid — the universe
             is cut into ``2**order`` cells per side.  This is coarser
-            than the bulk loader's sort-key order (16): routing only
+            than the ``hilbert`` packer's key order (16): routing only
             needs enough resolution to separate shards, and a coarse
             grid keeps the cell->shard table tiny (``4**order`` bytes).
     """
@@ -92,15 +91,11 @@ class ShardMap:
         return self._shard_at(cx, cy)
 
     def shard_for_rect(self, rect: Rect) -> int:
-        """The home shard of *rect* — where its bulk-load sort key lands.
-
-        Uses the same center-of-MBR key as
-        :func:`repro.rtree.bulkload.hilbert_sort_key` (at this map's
-        routing order), so home-shard assignment agrees with the order
-        objects stream through the bulk loader.
-        """
-        key = hilbert_sort_key(rect, self.universe, self.order)
-        return self.shard_for_key(key)
+        """The home shard of *rect*: where the Hilbert key of its MBR
+        centre lands, at this map's routing order."""
+        center = Point((rect.x1 + rect.x2) / 2.0, (rect.y1 + rect.y2) / 2.0)
+        return self.shard_for_key(
+            hilbert_key(center, self.universe, self.order))
 
     # -- rect-level fan-out ---------------------------------------------------
 
@@ -123,6 +118,19 @@ class ShardMap:
                     return sorted(out)
         return sorted(out)
 
+    def shards_storing(self, rect: Rect) -> list[int]:
+        """The shards that store an object whose MBR is *rect*: every
+        shard it overlaps (the placement rule).
+
+        Raises:
+            ValueError: for an invalid rectangle (inverted, NaN or
+                infinite, see :meth:`Rect.is_valid`), before any shard
+                is asked to store it.
+        """
+        if not rect.is_valid():
+            raise ValueError(f"invalid rectangle {rect!r}")
+        return self.shards_for_rect(rect)
+
     def all_shards(self) -> list[int]:
         return list(range(self.nshards))
 
@@ -130,11 +138,12 @@ class ShardMap:
 
     def _cell_of(self, x: float, y: float) -> tuple[int, int]:
         u = self.universe
-        fx = (x - u.x1) / (u.x2 - u.x1)
-        fy = (y - u.y1) / (u.y2 - u.y1)
-        cx = min(self.side - 1, max(0, int(fx * self.side)))
-        cy = min(self.side - 1, max(0, int(fy * self.side)))
-        return cx, cy
+        # Clamp before int(): a window may reach past the universe, as
+        # far as an infinite bound.
+        fx = min(max((x - u.x1) / (u.x2 - u.x1), 0.0), 1.0)
+        fy = min(max((y - u.y1) / (u.y2 - u.y1), 0.0), 1.0)
+        return (min(self.side - 1, int(fx * self.side)),
+                min(self.side - 1, int(fy * self.side)))
 
     def _shard_at(self, cx: int, cy: int) -> int:
         return self._shard_at_index(cy * self.side + cx)

@@ -412,7 +412,7 @@ class Router(ProtocolServer):
         targets: set[int] = set()
         for col in pictorial:
             targets.update(
-                self.shardmap.shards_for_rect(mbr_of_value(row[col.name])))
+                self.shardmap.shards_storing(mbr_of_value(row[col.name])))
         return sorted(targets)
 
     async def _handle_delete(self, conn: _Connection, rest: str) -> Response:

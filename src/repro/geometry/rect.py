@@ -85,9 +85,11 @@ class Rect(NamedTuple):
                 Point(self.x2, self.y2), Point(self.x1, self.y2))
 
     def is_valid(self) -> bool:
-        """True when the ordering invariant holds and nothing is NaN."""
+        """True when the ordering invariant holds and every coordinate is
+        finite (no NaN, no infinity): what a tree or a named location
+        may store."""
         return (self.x1 <= self.x2 and self.y1 <= self.y2
-                and not any(math.isnan(v) for v in self))
+                and all(map(math.isfinite, self)))
 
     # -- relations ---------------------------------------------------------
 

@@ -17,9 +17,9 @@ from repro.geometry.rect import Rect
 from repro.geometry.region import Region
 from repro.geometry.segment import Segment
 from repro.relational.relation import Column, Relation, RowId, SchemaError
-from repro.rtree.packing import pack
+from repro.rtree.packing import REBUILD_METHOD, pack
 from repro.rtree.repack import RepackResult, local_repack
-from repro.rtree.stats import summarize
+from repro.rtree.stats import IndexSummary, pack_levels, summarize
 from repro.rtree.tree import RTree
 
 
@@ -49,15 +49,6 @@ def mbr_of_value(value: Any) -> Rect:
     if isinstance(value, Rect):
         return value
     raise TypeError(f"{type(value).__name__} is not a pictorial value")
-
-
-def rebuild_method(index: Any) -> str:
-    """The PACK grouping ``REPACK`` rebuilds *index* with, and so the one
-    its what-if prices: the streamed loader's Hilbert order for a disk
-    index, the paper's NN for a tree in memory."""
-    from repro.relational.diskindex import DiskSpatialIndex
-
-    return "hilbert" if isinstance(index, DiskSpatialIndex) else "nn"
 
 
 class Picture:
@@ -97,17 +88,15 @@ class Picture:
         return tree
 
     def register_disk(self, relation: Relation, column: str, path: str,
-                      max_entries: Optional[int] = None,
-                      method: str = "hilbert", run_size: int = 100_000,
-                      workers: int = 0, **tree_kwargs):
+                      max_entries: Optional[int] = None, **tree_kwargs):
         """Build a disk-backed index over *relation.column* at *path*.
 
         The out-of-core counterpart of :meth:`register`: entries stream
-        through :mod:`repro.rtree.bulkload` into a
+        through :mod:`repro.rtree.bulkload` in the rebuild order
+        (:data:`~repro.rtree.packing.REBUILD_METHOD`) into a
         :class:`~repro.relational.diskindex.DiskSpatialIndex`, so the
-        index can exceed memory.  It is also the only index kind the
-        server's ``REPACK`` offline rebuild applies to non-trivially
-        (see :meth:`Database.rebuild_index`).
+        index can exceed memory and starts as the tree ``REPACK``
+        builds (see :meth:`Database.rebuild_index`).
 
         Raises:
             SchemaError: when the column is not pictorial.
@@ -120,8 +109,7 @@ class Picture:
                 f"column {column!r} of {relation.name!r} is not pictorial")
         index = DiskSpatialIndex(path, max_entries=max_entries,
                                  **tree_kwargs)
-        index.load(index_items(relation, column), method=method,
-                   run_size=run_size, workers=workers)
+        index.load(index_items(relation, column))
         self._indexes[(relation.name, column)] = index
         return index
 
@@ -178,10 +166,13 @@ class Database:
         self._pictures: dict[str, Picture] = {}
         self._locations: dict[str, Rect] = {}
         self._generation = 0
-        # (picture, relation, column) -> (generation, IndexSummary);
-        # entries from an older generation are recomputed on access.
+        # (picture, relation, column) -> (generation, IndexSummary) of
+        # the live tree and of its would-be rebuild; entries from an
+        # older generation are recomputed on access.
         self._index_summaries: dict[tuple[str, str, str],
                                     tuple[int, Any]] = {}
+        self._packed_summaries: dict[tuple[str, str, str],
+                                     tuple[int, Any]] = {}
 
     # -- data generation -------------------------------------------------------
 
@@ -354,37 +345,33 @@ class Database:
         self._generation += 1
 
     def repack(self, picture_name: str, relation_name: str,
-               column: str = "loc", region: Optional[Rect] = None,
-               method: str = "nn",
-               distance: str = "center") -> RepackResult:
+               column: str = "loc",
+               region: Optional[Rect] = None) -> RepackResult:
         """Locally re-PACK one picture index (Section 3.4's update path).
 
         Rebuilds the smallest subtree of the (picture, relation, column)
         R-tree covering *region* — the whole tree when ``region`` is
-        ``None`` — and bumps the data generation so result caches keyed
-        on it are invalidated (the tree's *contents* are unchanged, but
-        its structure, and therefore any cached cost/trace-derived
-        artefacts, are not).
+        ``None`` — in the rebuild order, and bumps the data generation
+        so result caches keyed on it are invalidated (the tree's
+        *contents* are unchanged, but its structure, and therefore any
+        cached cost/trace-derived artefacts, are not).
         """
         from repro.relational.diskindex import DiskSpatialIndex
 
         tree = self.picture(picture_name).index(relation_name, column)
         if isinstance(tree, DiskSpatialIndex):
-            result = tree.local_repack(region=region, method=(
-                "hilbert" if method == "nn" else method),
-                distance=distance)
+            result = tree.local_repack(region=region)
         else:
-            result = local_repack(tree, region=region, method=method,
-                                  distance=distance)
+            result = local_repack(tree, region=region)
         self._generation += 1
         return result
 
     def rebuild_index(self, picture_name: str, relation_name: str,
-                      column: str = "loc", method: Optional[str] = None,
-                      run_size: int = 100_000, workers: int = 0) -> int:
+                      column: str = "loc") -> int:
         """Offline rebuild of one picture index from its relation.
 
-        This is the ``REPACK`` verb's engine.  For a disk-backed
+        This is the ``REPACK`` verb's engine; both tree forms rebuild in
+        :data:`~repro.rtree.packing.REBUILD_METHOD`.  For a disk-backed
         :class:`~repro.relational.diskindex.DiskSpatialIndex` the
         relation streams through the out-of-core bulk loader into a
         fresh file which is atomically swapped under the live tree — a
@@ -399,23 +386,20 @@ class Database:
 
         picture = self.picture(picture_name)
         index = picture.index(relation_name, column)
-        relation = self.relation(relation_name)
-        items = index_items(relation, column)
-        method = method or rebuild_method(index)
+        items = index_items(self.relation(relation_name), column)
         if isinstance(index, DiskSpatialIndex):
-            index.rebuild(items, method=method, run_size=run_size,
-                          workers=workers)
+            index.rebuild(items)
             count = len(index)
         else:
             tree = pack(list(items), max_entries=index.max_entries,
-                        method=method)
+                        method=REBUILD_METHOD)
             picture._indexes[(relation_name, column)] = tree
             count = len(tree)
         self._generation += 1
         return count
 
     def index_summary(self, picture_name: str, relation_name: str,
-                      column: str = "loc"):
+                      column: str = "loc") -> IndexSummary:
         """Planner statistics for one picture index, cached per generation.
 
         Returns an :class:`~repro.rtree.stats.IndexSummary` built from
@@ -428,13 +412,42 @@ class Database:
         """
         picture = self.picture(picture_name)
         index = picture.index(relation_name, column)
-        key = (picture_name, relation_name, column)
-        cached = self._index_summaries.get(key)
+        return self._cached(
+            self._index_summaries, (picture_name, relation_name, column),
+            lambda: summarize(index, picture.universe))
+
+    def packed_summary(self, picture_name: str, relation_name: str,
+                       column: str = "loc") -> IndexSummary:
+        """The :class:`~repro.rtree.stats.IndexSummary` that
+        :meth:`rebuild_index` would leave this index with, cached per
+        generation like :meth:`index_summary`.
+
+        Runs the rebuild's PACK — the same items in the same order, the
+        same fanout, :data:`~repro.rtree.packing.REBUILD_METHOD` and the
+        tree's trailing-node fill — through a sink that writes no node,
+        so the answer is exactly the tree ``REPACK`` builds.
+
+        Raises:
+            KeyError: when picture, relation or association is unknown.
+        """
+        picture = self.picture(picture_name)
+        index = picture.index(relation_name, column)
+        relation = self.relation(relation_name)
+        return self._cached(
+            self._packed_summaries, (picture_name, relation_name, column),
+            lambda: IndexSummary.of(
+                pack_levels(index_items(relation, column),
+                            index.max_entries, REBUILD_METHOD,
+                            index.pack_fill),
+                picture.universe))
+
+    def _cached(self, cache: dict, key: tuple[str, str, str], compute):
+        cached = cache.get(key)
         if cached is not None and cached[0] == self._generation:
             return cached[1]
-        summary = summarize(index, picture.universe)
-        self._index_summaries[key] = (self._generation, summary)
-        return summary
+        value = compute()
+        cache[key] = (self._generation, value)
+        return value
 
     def spatial_search(self, picture_name: str, relation_name: str,
                        window: Rect, column: str = "loc",

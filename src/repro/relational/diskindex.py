@@ -29,6 +29,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.rtree.bulkload import BulkLoadStats, bulk_load_stream, \
     rebuild_tree_file
+from repro.rtree.repack import local_repack
 from repro.storage.disk_rtree import DiskRTree
 
 __all__ = ["DiskSpatialIndex"]
@@ -106,20 +107,14 @@ class DiskSpatialIndex:
 
     # -- bulk loading and offline rebuild ------------------------------------
 
-    def load(self, items: Iterable[tuple[Rect, int]], *,
-             method: str = "hilbert", run_size: int = 100_000,
-             workers: int = 0,
-             tmp_dir: Optional[str] = None) -> BulkLoadStats:
-        """Out-of-core bulk load into the (empty) tree."""
+    def load(self, items: Iterable[tuple[Rect, int]]) -> BulkLoadStats:
+        """Out-of-core bulk load into the (empty) tree, in the rebuild
+        order."""
         with self._lock:
-            return bulk_load_stream(self._tree, items, method=method,
-                                    run_size=run_size, workers=workers,
-                                    tmp_dir=tmp_dir)
+            return bulk_load_stream(self._tree, items)
 
     def rebuild(self, items: Iterable[tuple[Rect, int]], *,
-                method: str = "hilbert", run_size: int = 100_000,
-                workers: int = 0,
-                tmp_dir: Optional[str] = None) -> BulkLoadStats:
+                run_size: int = 100_000) -> BulkLoadStats:
         """Rebuild from *items* into a fresh file and atomically swap it.
 
         The lock is held for the duration: concurrent searches block and
@@ -128,12 +123,9 @@ class DiskSpatialIndex:
         :func:`repro.rtree.bulkload.swap_tree_file`).
         """
         with self._lock:
-            return rebuild_tree_file(self._tree, items, method=method,
-                                     run_size=run_size, workers=workers,
-                                     tmp_dir=tmp_dir)
+            return rebuild_tree_file(self._tree, items, run_size=run_size)
 
-    def local_repack(self, region: Optional[Rect] = None, *,
-                     method: str = "hilbert", distance: str = "center"):
+    def local_repack(self, region: Optional[Rect] = None):
         """Incrementally re-PACK the subtree covering *region*.
 
         The lock is held throughout, so searches either see the old
@@ -142,13 +134,15 @@ class DiskSpatialIndex:
         whole-tree atomic-swap rebuild.  Dirty pages are flushed before
         returning so the splice is durable.
         """
-        from repro.rtree.repack import local_repack_disk
-
         with self._lock:
-            result = local_repack_disk(self._tree, region=region,
-                                       method=method, distance=distance)
+            result = local_repack(self._tree, region=region)
             self._tree.flush()
             return result
+
+    @property
+    def pack_fill(self) -> int:
+        """The tree's trailing-node fill, which every rebuild packs to."""
+        return self._tree.pack_fill
 
     # -- lifecycle ----------------------------------------------------------
 

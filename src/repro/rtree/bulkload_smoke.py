@@ -13,8 +13,6 @@ Knobs (environment):
 - ``REPRO_BULKLOAD_SMOKE_N`` — items to load (default 100_000).
 - ``REPRO_BULKLOAD_SMOKE_RSS_MB`` — peak-RSS cap in MiB (default 256).
 - ``REPRO_BULKLOAD_SMOKE_RUN_SIZE`` — run length (default 20_000).
-- ``REPRO_BULKLOAD_SMOKE_WORKERS`` — sort workers (default 0; worker
-  RSS is not counted by the parent's rusage, so the cap stays honest).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.workloads import random_windows, stream_uniform_point_items
 N = int(os.environ.get("REPRO_BULKLOAD_SMOKE_N", "100000"))
 RSS_CAP_MB = int(os.environ.get("REPRO_BULKLOAD_SMOKE_RSS_MB", "256"))
 RUN_SIZE = int(os.environ.get("REPRO_BULKLOAD_SMOKE_RUN_SIZE", "20000"))
-WORKERS = int(os.environ.get("REPRO_BULKLOAD_SMOKE_WORKERS", "0"))
 SEED = 20_85
 CHECK_WINDOWS = 25
 
@@ -71,7 +68,7 @@ def run_smoke(verbose: bool = True) -> int:
         tree = DiskRTree(os.path.join(tmp, "smoke.db"))
         stats = bulk_load_stream(
             tree, stream_uniform_point_items(N, seed=SEED),
-            run_size=RUN_SIZE, workers=WORKERS, tmp_dir=tmp)
+            run_size=RUN_SIZE, tmp_dir=tmp)
         peak = _peak_rss_mb()
         if verbose:
             print(f"loaded {stats.items} items in {stats.runs} runs, "

@@ -15,7 +15,7 @@ the decay).  This module is the watchdog that closes the loop:
    and what hot-spot churn regrows.
 3. **run_maintenance_cycle** — degraded trees past ``warn_ratio`` get
    an *incremental* repack of just that subtree
-   (:func:`repro.rtree.repack.local_repack_disk` through
+   (:func:`repro.rtree.repack.local_repack` through
    ``Database.repack``); past ``full_ratio`` the whole tree is rebuilt.
    Each repack bumps the catalog generation, so server result caches
    drop structure-derived artefacts.
@@ -54,13 +54,14 @@ class MaintenanceConfig:
             (matches the advisor's FAIL grade).
         min_size: trees with fewer entries are never touched — repacking
             a near-empty tree is noise, not maintenance.
-        method: PACK grouping forwarded to the repack.
+
+    Every repack packs in :data:`~repro.rtree.packing.REBUILD_METHOD`,
+    the order the assessment prices.
     """
 
     warn_ratio: float = 1.25
     full_ratio: float = 2.0
     min_size: int = 32
-    method: str = "hilbert"
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def run_maintenance_cycle(db: Any,
         if region is None:
             kind = "full"
         result = db.repack(picture_name, relation_name, column,
-                           region=region, method=config.method)
+                           region=region)
         if obs.ENABLED:
             obs.active().bump(f"rtree.maintenance.repacks.{kind}")
         actions.append(MaintenanceAction(

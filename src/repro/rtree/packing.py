@@ -14,8 +14,13 @@ experiments (E12):
 - ``lowx``  — pure ascending-x run packing (no NN step); the strawman the
   paper's "e.g. ascending x-coordinate" remark suggests as the ordering.
 - ``str``   — Sort-Tile-Recursive (Leutenegger et al. 1997), the method
-  this paper directly inspired.
+  this paper directly inspired, and :data:`REBUILD_METHOD`: the order
+  every rebuild the system serves packs with.
 - ``hilbert`` — Hilbert-value run packing (Kamel & Faloutsos 1993).
+
+The three sorted orders share one sort key per order and one cutter
+(:func:`_order_key`, :func:`_cut_groups`) with the out-of-core loader
+(:mod:`repro.rtree.bulkload`), which runs the same sort out of core.
 
 All builders return a fully functional :class:`~repro.rtree.tree.RTree`
 that supports subsequent dynamic INSERT/DELETE, as Section 3.4 requires.
@@ -23,6 +28,8 @@ that supports subsequent dynamic INSERT/DELETE, as Section 3.4 requires.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -35,6 +42,18 @@ from repro.rtree.tree import Entry, ListStore, RTree, node_mbr
 
 Item = tuple[Rect, Any]
 DistanceFn = Callable[[Rect, Rect], float]
+
+#: The orders that sort a level and cut it, in memory or out of core.
+SORT_ORDERS = ("lowx", "str", "hilbert")
+
+#: The one order every rebuild the system serves packs with: REPACK and
+#: local repack on both tree forms, the disk loaders' default, the
+#: maintenance daemon and the what-if that prices them.  On the
+#: ``disk_search`` workload's shape at M=102, STR reads the fewest nodes
+#: per window and kNN query of the orders and builds ~35x faster than
+#: NN (``bench_ablation_packers.py``).  ``pack()`` keeps the paper's
+#: ``nn`` as its default for the reproduction.
+REBUILD_METHOD = "str"
 
 
 def _center_distance(a: Rect, b: Rect) -> float:
@@ -236,50 +255,71 @@ class _CenterGrid:
                 yield x_hi, cy
 
 
-def _group_lowx(entries: list[Entry], max_entries: int,
-                _distance: DistanceFn) -> list[list[Entry]]:
-    """Plain ascending-x run packing: consecutive runs of M entries."""
-    ordered = sorted(entries, key=_center)
-    return [ordered[i:i + max_entries]
-            for i in range(0, len(ordered), max_entries)]
+def _order_key(method: str, universe: Optional[Sequence[float]],
+               ) -> Callable[[Entry], Any]:
+    """The key a level is sorted by before *method* cuts it into nodes.
+
+    ``str`` sorts by centre x (the y pass is per slab, in
+    :func:`_cut_groups`), ``lowx`` by centre (x, y), and ``hilbert`` by
+    the Hilbert index of the centre within *universe*, the level's MBR
+    (the same at every level of one tree).  Ties keep the input order,
+    in memory (a stable sort) and out of core alike.
+    """
+    if method == "str":
+        return lambda e: (e[0] + e[2]) / 2.0
+    if method == "lowx":
+        return _center
+    if method == "hilbert":
+        box = Rect(*universe)
+        return lambda e: hilbert_key(Point(*_center(e)), box)
+    raise KeyError(f"unknown sort key {method!r}; "
+                   f"choose from {sorted(SORT_ORDERS)}")
 
 
-def _group_str(entries: list[Entry], max_entries: int,
-               _distance: DistanceFn) -> list[list[Entry]]:
-    """Sort-Tile-Recursive slabs: sqrt(n/M) vertical slices, y-sorted runs."""
-    n = len(entries)
-    leaf_count = math.ceil(n / max_entries)
-    slab_count = max(1, math.ceil(math.sqrt(leaf_count)))
-    slab_size = slab_count * max_entries
-    by_x = sorted(entries, key=lambda e: (e[0] + e[2]) / 2.0)
-    groups: list[list[Entry]] = []
-    for s in range(0, n, slab_size):
-        slab = sorted(by_x[s:s + slab_size],
-                      key=lambda e: (e[1] + e[3]) / 2.0)
-        for i in range(0, len(slab), max_entries):
-            groups.append(slab[i:i + max_entries])
-    return groups
+def _chunks(entries: Iterator[Entry], size: int) -> Iterator[list[Entry]]:
+    """Consecutive runs of *size* entries (the last one may be short)."""
+    while chunk := list(itertools.islice(entries, size)):
+        yield chunk
 
 
-def _group_hilbert(entries: list[Entry], max_entries: int,
-                   _distance: DistanceFn) -> list[list[Entry]]:
-    """Hilbert-value run packing over entry centres."""
-    universe = Rect(min(e[0] for e in entries), min(e[1] for e in entries),
+def _cut_groups(method: str, ordered: Iterator[Entry], n: int,
+                max_entries: int) -> Iterator[list[Entry]]:
+    """Cut a level of *n* entries, already in *method*'s order, into
+    node groups.
+
+    ``str`` (Sort-Tile-Recursive, Leutenegger et al. 1997) cuts the
+    x-ordered level into slabs of ``ceil(sqrt(ceil(n/M)))`` nodes' worth
+    of entries and orders each slab by centre y before cutting it into
+    runs of M: Theorem 3.2's sorted runs on both axes.  ``hilbert`` and
+    ``lowx`` cut runs of M straight off the order.  Lazy, so the
+    streamed loader holds one slab at a time.
+    """
+    if method != "str":
+        yield from _chunks(ordered, max_entries)
+        return
+    slab_size = math.ceil(math.sqrt(math.ceil(n / max_entries))) * max_entries
+    for slab in _chunks(ordered, slab_size):
+        slab.sort(key=lambda e: (e[1] + e[3]) / 2.0)
+        yield from _chunks(iter(slab), max_entries)
+
+
+def _group_sorted(method: str, entries: list[Entry], max_entries: int,
+                  _distance: DistanceFn) -> Iterator[list[Entry]]:
+    """Sort the level by *method*'s key, then cut it (in memory)."""
+    universe = None
+    if method == "hilbert":  # generators: no column copies of a level
+        universe = (min(e[0] for e in entries), min(e[1] for e in entries),
                     max(e[2] for e in entries), max(e[3] for e in entries))
-    ordered = sorted(entries,
-                     key=lambda e: hilbert_key(Point(*_center(e)), universe))
-    return [ordered[i:i + max_entries]
-            for i in range(0, len(ordered), max_entries)]
+    ordered = sorted(entries, key=_order_key(method, universe))
+    return _cut_groups(method, iter(ordered), len(entries), max_entries)
 
 
-GroupFn = Callable[[list[Entry], int, DistanceFn], list[list[Entry]]]
+GroupFn = Callable[[list[Entry], int, DistanceFn], Iterable[list[Entry]]]
 
 #: method name -> grouping function
 PACK_METHODS: dict[str, GroupFn] = {
     "nn": _group_nearest_neighbor,
-    "lowx": _group_lowx,
-    "str": _group_str,
-    "hilbert": _group_hilbert,
+    **{m: functools.partial(_group_sorted, m) for m in SORT_ORDERS},
 }
 
 

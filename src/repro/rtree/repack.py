@@ -25,6 +25,7 @@ from typing import Optional
 from repro import obs
 from repro.geometry.rect import Rect
 from repro.rtree.packing import (
+    REBUILD_METHOD,
     _level_sizes,
     _lookup_distance,
     _lookup_method,
@@ -48,7 +49,7 @@ class RepackResult:
 
 
 def local_repack(tree: Tree, region: Optional[Rect] = None,
-                 method: str = "nn",
+                 method: str = REBUILD_METHOD,
                  distance: str = "center") -> RepackResult:
     """Re-PACK the smallest subtree covering *region* (whole tree if None).
 
@@ -64,7 +65,8 @@ def local_repack(tree: Tree, region: Optional[Rect] = None,
     Args:
         tree: the tree to reorganise (modified in place).
         region: hot-spot rectangle; ``None`` re-packs everything.
-        method / distance: forwarded to the PACK grouping strategy.
+        method / distance: forwarded to the PACK grouping strategy;
+            the system's repacks all use :data:`REBUILD_METHOD`.
 
     Returns:
         A :class:`RepackResult` with before/after node counts.
@@ -107,8 +109,5 @@ def local_repack(tree: Tree, region: Optional[Rect] = None,
                         nodes_after=nodes_after, subtree_height=height)
 
 
-def local_repack_disk(tree: Tree, region: Optional[Rect] = None,
-                      method: str = "hilbert",
-                      distance: str = "center") -> RepackResult:
-    """:func:`local_repack` with the disk trees' default grouping."""
-    return local_repack(tree, region, method, distance)
+#: The name the disk tier has always called :func:`local_repack` by.
+local_repack_disk = local_repack

@@ -51,10 +51,12 @@ def walk_levels(index: Any) -> Levels:
 
 
 def pack_levels(items: Iterable[Item], max_entries: int,
-                method: str) -> Levels:
+                method: str, min_fill: int = 0) -> Levels:
     """The accumulator of ``pack(items, max_entries, method)``, built
     without writing a node: the sink files each group under its level
-    and hands PACK a parent entry whose ref is the group's height."""
+    and hands PACK a parent entry whose ref is the group's height.
+    *min_fill* is the target tree's trailing-node fill (a disk tree's
+    ``pack_fill``; the in-memory PACK's is 0)."""
     levels: Levels = []
 
     def sink(group: list[Entry], is_leaf: bool) -> Entry:
@@ -68,7 +70,7 @@ def pack_levels(items: Iterable[Item], max_entries: int,
     if not entries:
         return [[[]]]
     _pack_levels(entries, max_entries, _lookup_method(method),
-                 _center_distance, sink)
+                 _center_distance, sink, min_fill)
     return levels[::-1]
 
 

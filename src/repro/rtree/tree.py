@@ -619,10 +619,14 @@ class RTree(Tree):
         reg.bump("rtree.knn.nodes_visited", nodes)
         reg.bump("rtree.knn.results", results)
 
+    #: The trailing-node fill of every pack into this tree: the paper's
+    #: (no minimum), which Table 1 reproduces (see ``_emit_level``).
+    pack_fill = 0
+
     def _pack_sink(self):
         """PACK's node sink for a local repack, and its trailing-node
-        fill: the paper's, which Table 1 reproduces."""
-        return self._new_node, 0
+        fill."""
+        return self._new_node, self.pack_fill
 
     def _rebuild(self, method: str, distance: str) -> None:
         """Re-PACK the whole tree in place."""

@@ -244,8 +244,7 @@ class QueryService:
         return future
 
     def rebuild_index(self, picture: str, relation: str,
-                      column: str = "loc", method: Optional[str] = None,
-                      workers: int = 0) -> int:
+                      column: str = "loc") -> int:
         """Offline index rebuild (the ``REPACK`` verb); thread mode only.
 
         Runs :meth:`~repro.relational.catalog.Database.rebuild_index`
@@ -261,8 +260,7 @@ class QueryService:
                 "REPACK is not available with the process executor: "
                 "workers serve private database copies that an offline "
                 "rebuild in the parent would not update")
-        return self.db.rebuild_index(picture, relation, column=column,
-                                     method=method, workers=workers)
+        return self.db.rebuild_index(picture, relation, column=column)
 
     def close(self, wait: bool = True) -> None:
         """Shut the pool down (idempotent)."""

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro import obs
 from repro.geometry.rect import Rect
 from repro.rtree.packing import (
+    REBUILD_METHOD,
     _level_sizes,
     _lookup_distance,
     _lookup_method,
@@ -60,7 +61,7 @@ def _checked_oid(rect: Rect, oid) -> int:
 
     Raises:
         ValueError: for a negative object id or an invalid rectangle
-            (inverted or NaN, see :meth:`Rect.is_valid`).
+            (inverted, NaN or infinite, see :meth:`Rect.is_valid`).
     """
     oid = int(oid)
     if oid < 0:
@@ -98,8 +99,6 @@ class _NodeWriter:
         self._pages = pages
         self._commit_every = (commit_every if tree.pager.wal is not None
                               else 0)
-        #: The disk trees' trailing-node fill (see ``_emit_level``).
-        self.min_fill = min(tree.min_entries, tree.max_entries // 2)
         self.nodes_written = 0
 
     @classmethod
@@ -294,27 +293,33 @@ class DiskRTree(Tree):
     def _pack_sink(self):
         """PACK's node sink for a splice (pages off the free list, never
         committed here) and the disk trees' trailing-node fill."""
-        writer = _NodeWriter(self)
-        return writer.write, writer.min_fill
+        return _NodeWriter(self).write, self.pack_fill
+
+    @property
+    def pack_fill(self) -> int:
+        """The trailing-node fill of every pack into this tree (see
+        ``_emit_level``): a disk node never drops below it."""
+        return min(self.min_entries, self.max_entries // 2)
 
     def _rebuild(self, method: str, distance: str) -> None:
-        """Rebuild the whole tree beside the live file and swap it in."""
+        """Rebuild the whole tree beside the live file and swap it in
+        (out of core, so *distance* and ``nn`` do not apply)."""
         from repro.rtree.bulkload import rebuild_tree_file
 
-        rebuild_tree_file(self, self.items(), method=(
-            method if method in ("hilbert", "lowx", "str") else "hilbert"))
+        rebuild_tree_file(self, self.items(), method=method)
 
     # -- bulk load ---------------------------------------------------------------
 
     def bulk_load(self, items: Iterable[tuple[Rect, int]],
-                  method: str = "nn", distance: str = "center") -> None:
+                  method: str = REBUILD_METHOD,
+                  distance: str = "center") -> None:
         """PACK the items into a fresh tree, replacing current contents.
 
         The grouping strategies are shared with the in-memory packer
-        (``nn``/``lowx``/``str``/``hilbert``); nodes are written level by
-        level onto consecutive pages, so the build performs sequential
-        page writes — the construction-cost advantage PACK has in
-        practice.  Unlike the in-memory PACK, the trailing node of each
+        (``nn``/``lowx``/``str``/``hilbert``; the default is the rebuild
+        order, ``str``); nodes are written level by level onto
+        consecutive pages, so the build performs sequential page writes
+        — the construction-cost advantage PACK has in practice.  Unlike the in-memory PACK, the trailing node of each
         level is kept at the minimum fill.  Every item is checked before
         any page is written.
 
@@ -334,22 +339,21 @@ class DiskRTree(Tree):
                     _level_sizes(len(entries), self.max_entries)))
                 root, _height = _pack_levels(
                     entries, self.max_entries, group_fn, distance_fn,
-                    writer.write, writer.min_fill)
+                    writer.write, self.pack_fill)
             assert root[4] == self.root, "level sizes drifted"
             self._size = len(entries)
         self._write_meta()
 
     def bulk_load_stream(self, items: Iterable[tuple[Rect, int]],
-                         method: str = "hilbert", run_size: int = 100_000,
-                         workers: int = 0,
+                         method: str = REBUILD_METHOD,
+                         run_size: int = 100_000,
                          tmp_dir: Optional[str] = None) -> "BulkLoadStats":
-        """Out-of-core bulk load with at most *run_size* items resident;
-        see :func:`repro.rtree.bulkload.bulk_load_stream`."""
+        """:meth:`bulk_load`'s tree with at most *run_size* items
+        resident; see :func:`repro.rtree.bulkload.bulk_load_stream`."""
         from repro.rtree.bulkload import bulk_load_stream
 
         return bulk_load_stream(self, items, method=method,
-                                run_size=run_size, workers=workers,
-                                tmp_dir=tmp_dir)
+                                run_size=run_size, tmp_dir=tmp_dir)
 
     # -- maintenance ------------------------------------------------------------
 

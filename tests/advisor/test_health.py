@@ -1,8 +1,11 @@
 """Health checks: grading branches, no-data honesty, report summary."""
 
-from repro.advisor import (HealthThresholds, format_health,
+from repro import obs
+from repro.advisor import (HealthThresholds, advise, format_health,
                            run_health_checks)
+from repro.advisor.querylog import QueryLog
 from repro.advisor.smoke import build_degraded_database
+from repro.rtree.maintenance import assess
 
 
 def check(report, name):
@@ -81,3 +84,33 @@ class TestTreeChecks:
         lines = format_health(report)
         assert lines[0].startswith(f"health: {report.worst} ")
         assert len(lines) == 1 + len(report.checks)
+
+
+class TestPricedOncePerGeneration:
+    """HEALTH, ADVISE and MAINTAIN's assess share one PACK per index per
+    catalog generation."""
+
+    @staticmethod
+    def _nodes_emitted(run) -> int:
+        with obs.scope(forward=False, enable=True) as registry:
+            run()
+        return registry.snapshot().get("rtree.pack.nodes_emitted", 0)
+
+    def test_second_health_emits_no_node(self):
+        db = build_degraded_database()
+        first = self._nodes_emitted(lambda: run_health_checks(db))
+        assert first > 0
+        assert self._nodes_emitted(lambda: run_health_checks(db)) == 0
+
+    def test_entry_points_share_the_pack(self):
+        db = build_degraded_database()
+        assert self._nodes_emitted(lambda: run_health_checks(db)) > 0
+        assert self._nodes_emitted(lambda: list(assess(db))) == 0
+        assert self._nodes_emitted(lambda: advise(db, QueryLog())) == 0
+
+    def test_a_mutation_reprices(self):
+        db = build_degraded_database()
+        run_health_checks(db)
+        db.insert("points", {"id": -1, "val": 0.0,
+                             "loc": db.relation("points").get(0)["loc"]})
+        assert self._nodes_emitted(lambda: run_health_checks(db)) > 0

@@ -5,10 +5,9 @@ but the bill the production planner will present once the action is
 applied.  For a hypothetical B-tree that equality is exact — the cost
 model prices an index scan from the relation's size and the predicate's
 selectivity, both identical in the hypothetical and the real world.
-For a repack it is exact too: the what-if runs the very PACK that
-``REPACK`` runs, through a sink that writes no node.  On disk the
-streamed loader groups the levels above the leaves in run order, so
-there the structure matches to the node and the cost to within 2%.
+For a repack it is exact too, on either tree form: the what-if runs
+the very PACK that ``REPACK`` runs (the same items, order and
+trailing-node fill), through a sink that writes no node.
 """
 
 import random
@@ -16,7 +15,7 @@ import random
 import pytest
 
 from repro.advisor import (QueryLog, advise, hypothetical_packed_summary,
-                           packed_degradation)
+                           packed_degradation, run_health_checks)
 from repro.advisor.smoke import (CLUSTERS, PROBES, UNIVERSE,
                                  build_degraded_database)
 from repro.geometry.point import Point
@@ -25,6 +24,7 @@ from repro.psql.parser import parse
 from repro.psql.planner import plan_query
 from repro.relational.catalog import Database
 from repro.relational.relation import Column
+from repro.rtree.maintenance import assess
 from repro.rtree.packing import _level_sizes
 
 
@@ -107,7 +107,7 @@ class TestWhatIfAtScale:
     """Trees above the 4,096 entries the planner keeps rectangles for."""
 
     @staticmethod
-    def _assert_what_if_is_the_rebuild(db: Database, rel: float) -> None:
+    def _assert_what_if_is_the_rebuild(db: Database) -> None:
         predicted = hypothetical_packed_summary(db, "map", "points", "loc")
         fanout = db.picture("map").index("points", "loc").max_entries
         db.rebuild_index("map", "points", "loc")
@@ -115,13 +115,12 @@ class TestWhatIfAtScale:
         assert predicted.leaf.rects is None  # the aggregate branch
         assert predicted.node_count == rebuilt.node_count == sum(
             _level_sizes(rebuilt.size, fanout))
-        assert predicted.expected_window_accesses(WINDOW, WINDOW) == (
-            pytest.approx(rebuilt.expected_window_accesses(WINDOW, WINDOW),
-                          rel=rel))
+        assert (predicted.expected_window_accesses(WINDOW, WINDOW)
+                == rebuilt.expected_window_accesses(WINDOW, WINDOW))
 
     def test_memory_index(self):
         db = build_degraded_database(n0=7800, churn=1200, max_entries=16)
-        self._assert_what_if_is_the_rebuild(db, rel=1e-9)
+        self._assert_what_if_is_the_rebuild(db)
 
     def test_disk_index(self, tmp_path):
         rng = random.Random(5)
@@ -135,6 +134,75 @@ class TestWhatIfAtScale:
             points, "loc", str(tmp_path / "points.idx"))
         try:
             _churn(db, 18_000, 1_200)
-            self._assert_what_if_is_the_rebuild(db, rel=0.02)
+            self._assert_what_if_is_the_rebuild(db)
         finally:
             index.close()
+
+
+def _degraded(form: str, path: str) -> Database:
+    """A tree degraded past the 1.25 REPACK line: the advisor smoke's
+    in-memory one, or a disk index under the maintenance tests' hot-spot
+    churn (two inserts near (150, 150) per scattered delete)."""
+    if form == "memory":
+        return build_degraded_database()
+    rng = random.Random(21)
+    db = Database()
+    points = db.create_relation("points", [Column("id", "int"),
+                                           Column("loc", "point")])
+    for i in range(900):
+        points.insert({"id": i, "loc": Point(rng.uniform(0, 1000),
+                                             rng.uniform(0, 1000))})
+    db.create_picture("map", UNIVERSE).register_disk(
+        points, "loc", path, max_entries=8)
+    rng = random.Random(22)
+    for k in range(4000):
+        if k % 3 != 2:
+            db.insert("points", {"id": 50_000 + k, "loc": Point(
+                min(max(rng.gauss(150.0, 40.0), 0.0), 1000.0),
+                min(max(rng.gauss(150.0, 40.0), 0.0), 1000.0))})
+        else:
+            db.delete("points", rng.choice([r for r, _ in points.rows()]))
+    return db
+
+
+def _repack_ratio(db: Database) -> float:
+    """REPACK the index; the live tree's reference-window cost before it
+    over the rebuilt tree's: the ratio an exact what-if reports."""
+    before = db.index_summary("map", "points", "loc")
+    db.rebuild_index("map", "points", "loc")
+    after = db.index_summary("map", "points", "loc")
+    return (before.expected_window_accesses(WINDOW, WINDOW)
+            / after.expected_window_accesses(WINDOW, WINDOW))
+
+
+class TestEveryEntryPointPricesTheRepack:
+    """HEALTH, ADVISE and MAINTAIN's assess each price exactly the tree
+    REPACK then builds, on either tree form."""
+
+    FORMS = ["memory", "disk"]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_health(self, tmp_path, form):
+        db = _degraded(form, str(tmp_path / "points.idx"))
+        (check,) = [c for c in run_health_checks(db).checks
+                    if c.name == "tree.map/points.loc"]
+        assert check.value == _repack_ratio(db)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_assess(self, tmp_path, form):
+        db = _degraded(form, str(tmp_path / "points.idx"))
+        ((_, _, _, ratio),) = list(assess(db))
+        assert ratio == _repack_ratio(db)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_advise(self, tmp_path, form):
+        db = _degraded(form, str(tmp_path / "points.idx"))
+        texts = [f"select id from points on map at loc covered-by "
+                 f"{{{cx:g}+-8, {cy:g}+-8}}" for cx, cy in PROBES]
+        rec = next(r for r in advise(db, _capture(db, texts),
+                                     top=30).recommendations
+                   if r.kind == "repack")
+        ratio, _, _ = packed_degradation(db, "map", "points", "loc")
+        assert ratio == _repack_ratio(db)
+        assert sum(plan_query(db, parse(t)).root.est_cost
+                   for t in texts) == rec.cost_after

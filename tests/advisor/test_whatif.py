@@ -94,13 +94,15 @@ class TestHypotheticalRepack:
 
     def test_degradation_ratio_moves_with_churn(self):
         fresh = degraded_db(churn=0)
+        # REPACK builds exactly the tree the what-if prices.
+        fresh.rebuild_index("map", "points", "loc")
         ratio_fresh, _, _ = packed_degradation(fresh, "map", "points",
                                                "loc")
         churned = degraded_db()
         ratio_churned, _, _ = packed_degradation(churned, "map", "points",
                                                  "loc")
         assert ratio_churned > ratio_fresh
-        assert ratio_fresh == pytest.approx(1.0, abs=0.15)
+        assert ratio_fresh == 1.0
 
     def test_unknown_target_raises(self):
         db = degraded_db(churn=0)

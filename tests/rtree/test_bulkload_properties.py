@@ -5,6 +5,9 @@ Every loader — the streaming ``bulk_load_stream`` with each sort key
 ``pack`` with each PACK grouping (nn, lowx, str, hilbert) — and every
 ``local_repack`` splice, on either node store, must produce trees that:
 
+- (streamed) equal ``DiskRTree.bulk_load``'s tree for the same order,
+  node for node, whatever the run size,
+
 - obey PACK Theorem 3.2 level-by-level (``ceil(n/M)`` nodes per level,
   which the min-fill tail redistribution must not change),
 - answer window queries identically to a brute-force scan, and
@@ -74,6 +77,12 @@ def level_fills(tree, ref=None):
             levels.append([])
         levels[level].append(len(entries))
     return levels
+
+
+def walk_entries(tree):
+    """The level-order walk with each node's entries listed."""
+    return [(level, ref, is_leaf, list(entries))
+            for level, ref, is_leaf, entries in tree.walk()]
 
 
 def assert_packed(levels, n, max_entries, min_fill):
@@ -146,6 +155,28 @@ def test_list_store_pack_invariants(items, method, max_entries):
                 items, max_entries, min_fill=0)
 
 
+@given(items=item_sets(), method=methods,
+       max_entries=st.sampled_from([4, 16, 102]),
+       run_size=st.sampled_from([32, 64, 1000]))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_stream_equals_in_memory_load(tmp_path_factory, items, method,
+                                      max_entries, run_size):
+    """The streamed loader is the in-memory PACK with the sort done out
+    of core: the same nodes on the same pages, level by level."""
+    tmp = tmp_path_factory.mktemp("streameq")
+    streamed = build(tmp, items, method, max_entries, run_size)
+    memory = DiskRTree(os.path.join(str(tmp), "memory.db"),
+                       max_entries=max_entries)
+    try:
+        memory.bulk_load(items,
+                         method="str" if method == "adaptive" else method)
+        assert walk_entries(streamed) == walk_entries(memory)
+    finally:
+        streamed.close()
+        memory.close()
+
+
 def build_splice_tree(tmp_path_factory, store, items, max_entries):
     if store == "list":
         return pack(items, max_entries=max_entries, method="hilbert"), 0
@@ -200,7 +231,8 @@ def test_splice_invariants(tmp_path_factory, items, max_entries, hot,
           suppress_health_check=[HealthCheck.too_slow])
 def test_adaptive_agrees_with_brute_force_knn_free(tmp_path_factory, items,
                                                   max_entries):
-    """The adaptive chooser never changes the *answer*, only the layout."""
+    """``adaptive`` (an alias of ``str``) and ``hilbert`` lay the tree out
+    differently and give the same answers."""
     tmp = tmp_path_factory.mktemp("bulkadapt")
     adaptive = build(tmp, items, "adaptive", max_entries, run_size=64)
     hilbert = build(tmp_path_factory.mktemp("bulkhil"), items, "hilbert",

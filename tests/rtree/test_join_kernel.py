@@ -70,8 +70,9 @@ def grid_items(rng, n, first_oid):
 
 
 def disk_tree(directory, name, items):
+    """The paper's PACK on pages: the tree the pinned counts describe."""
     tree = DiskRTree(os.path.join(directory, name), max_entries=4)
-    tree.bulk_load(items)
+    tree.bulk_load(items, method="nn")
     return tree
 
 

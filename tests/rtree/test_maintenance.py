@@ -30,7 +30,7 @@ from repro.rtree.maintenance import (
 from repro.server.scheduler import MaintenanceScheduler
 
 N = 900
-CHURN = 1800
+CHURN = 4000
 
 
 def build_db(tmp_path, n=N, seed=21):
