@@ -483,8 +483,8 @@ class _Execution:
                    relation: Relation, column: str,
                    stats: Optional[SearchStats] = None) -> list[RowId]:
         """Translate a spatial operator into R-tree searches + refinement."""
-        # Both in-memory RTree and DiskSpatialIndex accept the stats
-        # recorder; disk trees report page touches through it.
+        # Both tree forms accept the stats recorder; disk trees report
+        # page touches through it.
         kwargs = {"stats": stats} if stats is not None else {}
         if op == "covered-by":
             rids = tree.search_within(window, **kwargs)

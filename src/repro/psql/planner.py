@@ -345,10 +345,6 @@ def _plan_juxtaposition(db: Database, query: ast.Query,
     pic_r = _picture_for(db, query, rel_r.name, right.column)
     sum_l = db.index_summary(pic_l, rel_l.name, left.column)
     sum_r = db.index_summary(pic_r, rel_r.name, right.column)
-    in_memory = (hasattr(db.picture(pic_l).index(rel_l.name, left.column),
-                         "root")
-                 and hasattr(db.picture(pic_r).index(rel_r.name,
-                                                     right.column), "root"))
 
     area = sum_l.universe.area()
     leaf_pairs = _pair_count(sum_l.leaf, sum_r.leaf, area)
@@ -374,16 +370,15 @@ def _plan_juxtaposition(db: Database, query: ast.Query,
         label=f"spatial-join [lockstep] {desc}",
         est_cost=lockstep + rows, est_rows=rows,
         props={"path": "lockstep", "strategy": "lockstep", **base})]
-    if in_memory:
-        for outer, sum_o, sum_i in (("left", sum_l, sum_r),
-                                    ("right", sum_r, sum_l)):
-            candidates.append(PlanNode(
-                kind="spatial-join",
-                label=f"spatial-join [nested outer={outer}] {desc}",
-                est_cost=_nested_cost(sum_o, sum_i) + rows,
-                est_rows=rows,
-                props={"path": f"nested-{outer}", "strategy": "nested",
-                       "outer": outer, **base}))
+    for outer, sum_o, sum_i in (("left", sum_l, sum_r),
+                                ("right", sum_r, sum_l)):
+        candidates.append(PlanNode(
+            kind="spatial-join",
+            label=f"spatial-join [nested outer={outer}] {desc}",
+            est_cost=_nested_cost(sum_o, sum_i) + rows,
+            est_rows=rows,
+            props={"path": f"nested-{outer}", "strategy": "nested",
+                   "outer": outer, **base}))
     return _choose(candidates, force)
 
 

@@ -20,7 +20,7 @@ from repro.relational.relation import Column, Relation, RowId, SchemaError
 from repro.rtree.packing import REBUILD_METHOD, pack
 from repro.rtree.repack import RepackResult, local_repack
 from repro.rtree.stats import IndexSummary, pack_levels, summarize
-from repro.rtree.tree import RTree
+from repro.rtree.tree import RTree, Tree
 
 
 def index_items(relation: Relation, column: str,
@@ -63,8 +63,8 @@ class Picture:
         self.name = name
         self.universe = universe
         # (relation name, column name) -> index of (mbr, row id): an
-        # in-memory RTree or a disk-backed DiskSpatialIndex.
-        self._indexes: dict[tuple[str, str], Any] = {}
+        # in-memory RTree or a DiskRTree.
+        self._indexes: dict[tuple[str, str], Tree] = {}
 
     def register(self, relation: Relation, column: str,
                  max_entries: int = 16, method: str = "nn") -> RTree:
@@ -94,26 +94,26 @@ class Picture:
         The out-of-core counterpart of :meth:`register`: entries stream
         through :mod:`repro.rtree.bulkload` in the rebuild order
         (:data:`~repro.rtree.packing.REBUILD_METHOD`) into a
-        :class:`~repro.relational.diskindex.DiskSpatialIndex`, so the
-        index can exceed memory and starts as the tree ``REPACK``
-        builds (see :meth:`Database.rebuild_index`).
+        :class:`~repro.storage.disk_rtree.DiskRTree` (*tree_kwargs*:
+        ``page_size``, ``buffer_capacity``, ``wal_path`` and friends),
+        so the index can exceed memory and starts as the tree
+        ``REPACK`` builds (see :meth:`Database.rebuild_index`).
 
         Raises:
             SchemaError: when the column is not pictorial.
         """
-        from repro.relational.diskindex import DiskSpatialIndex
+        from repro.storage.disk_rtree import DiskRTree
 
         col = relation.column(column)
         if not col.is_pictorial:
             raise SchemaError(
                 f"column {column!r} of {relation.name!r} is not pictorial")
-        index = DiskSpatialIndex(path, max_entries=max_entries,
-                                 **tree_kwargs)
-        index.load(index_items(relation, column))
+        index = DiskRTree(path, max_entries=max_entries, **tree_kwargs)
+        index.bulk_load_stream(index_items(relation, column))
         self._indexes[(relation.name, column)] = index
         return index
 
-    def index(self, relation_name: str, column: str = "loc") -> RTree:
+    def index(self, relation_name: str, column: str = "loc") -> Tree:
         """The R-tree for (relation, column).
 
         Raises:
@@ -351,18 +351,16 @@ class Database:
 
         Rebuilds the smallest subtree of the (picture, relation, column)
         R-tree covering *region* — the whole tree when ``region`` is
-        ``None`` — in the rebuild order, and bumps the data generation
-        so result caches keyed on it are invalidated (the tree's
-        *contents* are unchanged, but its structure, and therefore any
-        cached cost/trace-derived artefacts, are not).
+        ``None`` — in the rebuild order, and commits it with the tree's
+        ``flush()``, both under the tree's lock.  Then it bumps the data
+        generation so result caches keyed on it are invalidated (the
+        tree's *contents* are unchanged, but its structure, and
+        therefore any cached cost/trace-derived artefacts, are not).
         """
-        from repro.relational.diskindex import DiskSpatialIndex
-
         tree = self.picture(picture_name).index(relation_name, column)
-        if isinstance(tree, DiskSpatialIndex):
-            result = tree.local_repack(region=region)
-        else:
+        with tree.lock:
             result = local_repack(tree, region=region)
+            tree.flush()
         self._generation += 1
         return result
 
@@ -370,31 +368,22 @@ class Database:
                       column: str = "loc") -> int:
         """Offline rebuild of one picture index from its relation.
 
-        This is the ``REPACK`` verb's engine; both tree forms rebuild in
-        :data:`~repro.rtree.packing.REBUILD_METHOD`.  For a disk-backed
-        :class:`~repro.relational.diskindex.DiskSpatialIndex` the
-        relation streams through the out-of-core bulk loader into a
-        fresh file which is atomically swapped under the live tree — a
-        crash mid-rebuild leaves the old index readable.  For an
-        in-memory index the tree is simply re-PACKed.  Either way the
-        data generation is bumped so the server's result cache drops
-        everything derived from the old structure.
+        This is the ``REPACK`` verb's engine: the tree's own ``rebuild``
+        in :data:`~repro.rtree.packing.REBUILD_METHOD`, in place and
+        under the tree's lock.  A disk tree streams the relation through
+        the out-of-core bulk loader into a fresh file which is
+        atomically swapped under the live tree — a crash mid-rebuild
+        leaves the old index readable; an in-memory tree is re-PACKed.
+        Either way the data generation is bumped so the server's result
+        cache drops everything derived from the old structure.
 
         Returns the number of entries in the rebuilt index.
         """
-        from repro.relational.diskindex import DiskSpatialIndex
-
-        picture = self.picture(picture_name)
-        index = picture.index(relation_name, column)
-        items = index_items(self.relation(relation_name), column)
-        if isinstance(index, DiskSpatialIndex):
-            index.rebuild(items)
+        index = self.picture(picture_name).index(relation_name, column)
+        with index.lock:
+            index.rebuild(index_items(self.relation(relation_name), column),
+                          REBUILD_METHOD)
             count = len(index)
-        else:
-            tree = pack(list(items), max_entries=index.max_entries,
-                        method=REBUILD_METHOD)
-            picture._indexes[(relation_name, column)] = tree
-            count = len(tree)
         self._generation += 1
         return count
 

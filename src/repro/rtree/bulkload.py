@@ -22,14 +22,10 @@ the same three steps until a single root remains:
    the pager onto consecutive pages and yields the ``(MBR, page)``
    parent entries, which spill to the next level's file.
 
-``adaptive`` is accepted as an alias of ``str``.
-
-The module also provides the offline-rebuild primitive behind the
-server's ``REPACK`` verb: :func:`build_tree_file` constructs a fresh
-tree *beside* the live one and :func:`swap_tree_file` atomically
-replaces it with ``os.replace``.  Two failpoints bracket the swap so the
-crash-safety contract — a crash at any instant leaves a readable tree —
-is testable with :mod:`repro.storage.failpoints`.
+``adaptive`` is accepted as an alias of ``str``.  The offline rebuild
+behind the server's ``REPACK`` verb,
+:meth:`~repro.storage.disk_rtree.DiskRTree.rebuild`, runs this loader
+into a fresh file beside the live one and swaps it in.
 """
 
 from __future__ import annotations
@@ -47,18 +43,12 @@ from repro import obs
 from repro.geometry.rect import Rect
 from repro.rtree.packing import (REBUILD_METHOD, SORT_ORDERS, _cut_groups,
                                  _emit_level, _level_sizes, _order_key)
-from repro.storage import failpoints
-from repro.storage.disk_rtree import (_COMMIT_EVERY, DiskRTree,
-                                      _checked_oid, _NodeWriter)
-from repro.storage.pager import PAGE_SIZE
+from repro.storage.disk_rtree import _COMMIT_EVERY, _checked_oid, _NodeWriter
 
 __all__ = [
     "SORT_KEYS",
     "BulkLoadStats",
-    "build_tree_file",
     "bulk_load_stream",
-    "rebuild_tree_file",
-    "swap_tree_file",
 ]
 
 #: One entry of a level file: x1, y1, x2, y2, ref (the object id at the
@@ -72,15 +62,6 @@ _IO_BATCH = 2048
 
 #: Supported orders; ``adaptive`` is an alias of ``str``.
 SORT_KEYS = (*SORT_ORDERS, "adaptive")
-
-FP_SWAP_BEFORE = failpoints.declare(
-    "bulkload.swap.before-replace",
-    "fresh tree fully built and closed, live file not yet replaced "
-    "(a crash must leave the old tree intact)")
-FP_SWAP_AFTER = failpoints.declare(
-    "bulkload.swap.after-replace",
-    "live file already replaced by the fresh tree "
-    "(a crash must leave the new tree readable)")
 
 
 @dataclass(frozen=True)
@@ -211,125 +192,59 @@ def bulk_load_stream(tree, items: Iterable[tuple[Rect, int]], *,
             is written).
         KeyError: for an unknown *method*.
     """
-    if len(tree):
-        raise ValueError("bulk load requires an empty tree")
-    if run_size < 2:
-        raise ValueError("run_size must be at least 2")
-    if method not in SORT_KEYS:
-        raise KeyError(f"unknown bulk-load sort key {method!r}; "
-                       f"choose from {sorted(SORT_KEYS)}")
-    order = "str" if method == "adaptive" else method
-    max_entries = tree.max_entries
-    with obs.timer("rtree.bulkload.build"), \
-            tempfile.TemporaryDirectory(dir=tmp_dir,
-                                        prefix="rtree-bulkload-") as run_dir:
-        path = os.path.join(run_dir, "level000")
-        with obs.timer("rtree.bulkload.spill"):
-            count, universe = _spill_items(items, path)
-        if count == 0:
-            # An empty load must still leave a valid, durable tree: the
-            # constructor's empty leaf root is already on its page, so
-            # only the meta page needs (re)writing and flushing.
-            tree._write_meta()
-            tree.flush()
-            return BulkLoadStats(items=0, runs=0, levels=1, nodes_written=0)
-        key = _order_key(order, universe)
-        writer = _NodeWriter.fresh(
-            tree, sum(_level_sizes(count, max_entries)), commit_every)
-        n, level, leaf_runs = count, 0, 1
-        while n > max_entries:
-            ordered, runs = _sorted_level(path, n, order, key, run_size)
-            leaf_runs = runs if level == 0 else leaf_runs
-            parents = _emit_level(
-                _cut_groups(order, ordered, n, max_entries), writer.write,
-                level == 0, tree.pack_fill, level)
-            level += 1
-            path = os.path.join(run_dir, f"level{level:03d}")
-            n = _write_records(path, _ENTRY, parents)
-        (root,) = _emit_level([list(_read_records(path, _ENTRY))],
-                              writer.write, level == 0, level=level)
-    assert root[4] == tree.root, "level size precomputation drifted"
-    tree._size = count
-    tree._write_meta()
-    tree.flush()
-    if obs.ENABLED:
-        reg = obs.active()
-        reg.bump("rtree.bulkload.builds")
-        reg.bump("rtree.bulkload.items", count)
-        reg.bump("rtree.bulkload.runs", leaf_runs)
-        reg.trace("rtree.bulkload", method=order, items=count,
-                  runs=leaf_runs, levels=level + 1)
-    return BulkLoadStats(items=count, runs=leaf_runs, levels=level + 1,
-                         nodes_written=writer.nodes_written)
+    with tree.lock:
+        if len(tree):
+            raise ValueError("bulk load requires an empty tree")
+        if run_size < 2:
+            raise ValueError("run_size must be at least 2")
+        if method not in SORT_KEYS:
+            raise KeyError(f"unknown bulk-load sort key {method!r}; "
+                           f"choose from {sorted(SORT_KEYS)}")
+        order = "str" if method == "adaptive" else method
+        max_entries = tree.max_entries
+        with obs.timer("rtree.bulkload.build"), \
+                tempfile.TemporaryDirectory(
+                    dir=tmp_dir, prefix="rtree-bulkload-") as run_dir:
+            path = os.path.join(run_dir, "level000")
+            with obs.timer("rtree.bulkload.spill"):
+                count, universe = _spill_items(items, path)
+            if count == 0:
+                # An empty load must still leave a valid, durable tree:
+                # the constructor's empty leaf root is already on its
+                # page, so only the meta page needs (re)writing and
+                # flushing.
+                tree._write_meta()
+                tree.flush()
+                return BulkLoadStats(items=0, runs=0, levels=1,
+                                     nodes_written=0)
+            key = _order_key(order, universe)
+            writer = _NodeWriter.fresh(
+                tree, sum(_level_sizes(count, max_entries)), commit_every)
+            n, level, leaf_runs = count, 0, 1
+            while n > max_entries:
+                ordered, runs = _sorted_level(path, n, order, key,
+                                              run_size)
+                leaf_runs = runs if level == 0 else leaf_runs
+                parents = _emit_level(
+                    _cut_groups(order, ordered, n, max_entries,
+                                tree.pack_fill),
+                    writer.write, level == 0, tree.pack_fill, level)
+                level += 1
+                path = os.path.join(run_dir, f"level{level:03d}")
+                n = _write_records(path, _ENTRY, parents)
+            (root,) = _emit_level([list(_read_records(path, _ENTRY))],
+                                  writer.write, level == 0, level=level)
+        assert root[4] == tree.root, "level size precomputation drifted"
+        tree._size = count
+        tree._write_meta()
+        tree.flush()
+        if obs.ENABLED:
+            reg = obs.active()
+            reg.bump("rtree.bulkload.builds")
+            reg.bump("rtree.bulkload.items", count)
+            reg.bump("rtree.bulkload.runs", leaf_runs)
+            reg.trace("rtree.bulkload", method=order, items=count,
+                      runs=leaf_runs, levels=level + 1)
+        return BulkLoadStats(items=count, runs=leaf_runs, levels=level + 1,
+                             nodes_written=writer.nodes_written)
 
-
-# ---------------------------------------------------------------------------
-# Offline rebuild: build beside, swap atomically
-# ---------------------------------------------------------------------------
-
-
-def build_tree_file(path: str, items: Iterable[tuple[Rect, int]], *,
-                    max_entries: Optional[int] = None,
-                    page_size: int = PAGE_SIZE,
-                    method: str = REBUILD_METHOD, run_size: int = 100_000,
-                    tmp_dir: Optional[str] = None) -> BulkLoadStats:
-    """Build a fresh, closed tree file at *path* (overwriting leftovers).
-
-    The file is written without a WAL — its durability story is the
-    atomic :func:`swap_tree_file` rename, not page-level logging — and
-    is fsynced before this returns.
-    """
-    if os.path.exists(path):
-        os.remove(path)  # a stale .rebuild from an earlier crash
-    tree = DiskRTree(path, max_entries=max_entries, page_size=page_size)
-    try:
-        stats = bulk_load_stream(tree, items, method=method,
-                                 run_size=run_size, tmp_dir=tmp_dir)
-    finally:
-        tree.close()
-    return stats
-
-
-def swap_tree_file(tree, fresh_path: str) -> None:
-    """Atomically replace *tree*'s backing file with *fresh_path*.
-
-    The live pager is closed (checkpointing any WAL), the fresh file is
-    moved into place with ``os.replace``, and the tree reopens on it.
-    Crash contract: before the replace the old tree file is intact and
-    untouched; after it the new file is complete and fsynced — either
-    way the next open finds a readable tree.  The bracketing failpoints
-    :data:`FP_SWAP_BEFORE` / :data:`FP_SWAP_AFTER` let tests prove both
-    halves.
-    """
-    path = tree.pager.path
-    page_size = tree.pager.page_size
-    capacity = tree.pool.capacity
-    tree.pager.close()
-    if failpoints.ACTIVE:
-        failpoints.hit(FP_SWAP_BEFORE)
-    os.replace(fresh_path, path)
-    if failpoints.ACTIVE:
-        failpoints.hit(FP_SWAP_AFTER)
-    tree._open(path, page_size, capacity)
-    tree._read_meta()
-    if obs.ENABLED:
-        obs.active().bump("rtree.bulkload.swaps")
-
-
-def rebuild_tree_file(tree, items: Iterable[tuple[Rect, int]], *,
-                      method: str = REBUILD_METHOD, run_size: int = 100_000,
-                      tmp_dir: Optional[str] = None) -> BulkLoadStats:
-    """Offline rebuild of *tree* from *items* with an atomic swap.
-
-    The fresh tree is built beside the live file (``<path>.rebuild``),
-    then swapped in via :func:`swap_tree_file`.  The live tree stays
-    fully readable until the swap instant.
-    """
-    fresh_path = tree.pager.path + ".rebuild"
-    stats = build_tree_file(fresh_path, items,
-                            max_entries=tree.max_entries,
-                            page_size=tree.pager.page_size,
-                            method=method, run_size=run_size,
-                            tmp_dir=tmp_dir)
-    swap_tree_file(tree, fresh_path)
-    return stats

@@ -79,21 +79,20 @@ def nested_window_join(outer: Tree, inner: Tree,
     return _join(outer, inner, predicate, stats, nested=True)
 
 
-def _join(a: Any, b: Any, predicate: Callable, stats: Optional[JoinStats],
+def _join(a: Tree, b: Tree, predicate: Callable, stats: Optional[JoinStats],
           nested: bool) -> list[tuple[Any, Any]]:
     """Run the kernel from the two roots, or, *nested*, from each leaf
     entry of *a* as a one-entry leaf of its own against *b*'s root."""
     with ExitStack() as held:
-        # Disk indexes lend their trees locked, in one order: no deadlock.
-        lent = {id(x): held.enter_context(x.locked())
-                for x in sorted((a, b), key=id) if hasattr(x, "locked")}
-        a, b = lent.get(id(a), a), lent.get(id(b), b)
+        # Both trees' locks, in one global order: no deadlock.
+        for tree in sorted((a, b), key=id):
+            held.enter_context(tree.lock)
         if len(a) == 0 or len(b) == 0:
             return []
         run = JoinStats()
         with obs.timer("rtree.join.nested" if nested else "rtree.join"):
             if nested:
-                nodes = list(a.walk())
+                nodes = a.walk()
                 probes = [(True, (entry,)) for _level, _ref, is_leaf, entries
                           in nodes if is_leaf for entry in entries]
                 run.outer_nodes, run.probes = len(nodes), len(probes)

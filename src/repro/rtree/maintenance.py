@@ -115,7 +115,8 @@ def pick_region(db: Any, picture_name: str, relation_name: str,
     a whole-tree rebuild is the safe answer).
     """
     index = db.picture(picture_name).index(relation_name, column)
-    _level, _ref, is_leaf, entries = next(iter(index.walk()))
+    with index.lock:  # the root alone, not a whole-tree walk
+        is_leaf, entries = index.store.fetch(index.root)
     return worst_overlap_rect(
         [] if is_leaf else [Rect(*e[:4]) for e in entries])
 

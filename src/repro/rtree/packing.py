@@ -89,7 +89,8 @@ def _center(e: Entry) -> tuple[float, float]:
 
 
 def _group_nearest_neighbor(entries: list[Entry], max_entries: int,
-                            distance: DistanceFn) -> list[list[Entry]]:
+                            distance: DistanceFn,
+                            _min_fill: int = 0) -> list[list[Entry]]:
     """The paper's NN grouping.
 
     Entries are ordered by ascending centre x-coordinate; the head of the
@@ -283,38 +284,52 @@ def _chunks(entries: Iterator[Entry], size: int) -> Iterator[list[Entry]]:
 
 
 def _cut_groups(method: str, ordered: Iterator[Entry], n: int,
-                max_entries: int) -> Iterator[list[Entry]]:
+                max_entries: int, min_fill: int = 0,
+                ) -> Iterator[list[Entry]]:
     """Cut a level of *n* entries, already in *method*'s order, into
     node groups.
 
     ``str`` (Sort-Tile-Recursive, Leutenegger et al. 1997) cuts the
     x-ordered level into slabs of ``ceil(sqrt(ceil(n/M)))`` nodes' worth
     of entries and orders each slab by centre y before cutting it into
-    runs of M: Theorem 3.2's sorted runs on both axes.  ``hilbert`` and
-    ``lowx`` cut runs of M straight off the order.  Lazy, so the
-    streamed loader holds one slab at a time.
+    runs of M: Theorem 3.2's sorted runs on both axes.  A last slab of
+    fewer than *min_fill* entries would be one node that the
+    trailing-node rule merges with the top node of the slab before it,
+    overlapping that slab; so the slab before it gives up the entries
+    the last one lacks, from its x end.  The slabs stay x-disjoint and
+    the level keeps its node count.  ``hilbert`` and ``lowx`` cut runs
+    of M straight off the order.  Lazy, so the streamed loader holds one
+    slab at a time.
     """
     if method != "str":
         yield from _chunks(ordered, max_entries)
         return
     slab_size = math.ceil(math.sqrt(math.ceil(n / max_entries))) * max_entries
-    for slab in _chunks(ordered, slab_size):
+    slabs = math.ceil(n / slab_size)
+    lend = max(0, min_fill - (n - (slabs - 1) * slab_size)) if slabs > 1 else 0
+    for i in range(slabs):
+        slab = list(itertools.islice(
+            ordered, slab_size - lend if i == slabs - 2 else slab_size))
         slab.sort(key=lambda e: (e[1] + e[3]) / 2.0)
         yield from _chunks(iter(slab), max_entries)
 
 
 def _group_sorted(method: str, entries: list[Entry], max_entries: int,
-                  _distance: DistanceFn) -> Iterator[list[Entry]]:
+                  _distance: DistanceFn,
+                  min_fill: int = 0) -> Iterator[list[Entry]]:
     """Sort the level by *method*'s key, then cut it (in memory)."""
     universe = None
     if method == "hilbert":  # generators: no column copies of a level
         universe = (min(e[0] for e in entries), min(e[1] for e in entries),
                     max(e[2] for e in entries), max(e[3] for e in entries))
     ordered = sorted(entries, key=_order_key(method, universe))
-    return _cut_groups(method, iter(ordered), len(entries), max_entries)
+    return _cut_groups(method, iter(ordered), len(entries), max_entries,
+                       min_fill)
 
 
-GroupFn = Callable[[list[Entry], int, DistanceFn], Iterable[list[Entry]]]
+#: ``(entries, M, distance, min_fill) -> groups``.
+GroupFn = Callable[[list[Entry], int, DistanceFn, int],
+                   Iterable[list[Entry]]]
 
 #: method name -> grouping function
 PACK_METHODS: dict[str, GroupFn] = {
@@ -405,7 +420,9 @@ def _emit_level(groups: Iterable[list], sink: Sink, is_leaf: bool,
     smaller than *min_fill* merges with its left neighbour and the union
     splits ceil/floor.  For ``min_fill <= M / 2`` both halves land in
     ``[min_fill, M]`` and the level keeps its ``ceil(n/M)`` nodes
-    (Theorem 3.2); the sorted order is kept, so no overlap is added.
+    (Theorem 3.2); the sorted order is kept, and the STR cut never
+    leaves a merge across two slabs (:func:`_cut_groups`), so no overlap
+    is added.
     Disk trees pass ``min(min_entries, M // 2)``; the in-memory PACK
     passes 0 and keeps the paper's trailing node, which Table 1
     reproduces.  *level* (0 = leaves) only labels the counters.
@@ -440,7 +457,7 @@ def _pack_levels(entries: list[Entry], max_entries: int, group_fn: GroupFn,
     is_leaf = True
     level = 0
     while len(entries) > max_entries:
-        groups = group_fn(entries, max_entries, distance_fn)
+        groups = group_fn(entries, max_entries, distance_fn, min_fill)
         entries = list(_emit_level(groups, sink, is_leaf, min_fill, level))
         is_leaf = False
         level += 1

@@ -11,10 +11,12 @@ region, rebuilds that subtree with PACK through the tree's own node sink,
 and splices it back — restoring packed-quality structure around update
 hot spots without touching the rest of the tree.  When no subtree below
 the root covers the region, or with ``region=None``, the whole tree is
-rebuilt: re-PACKed in memory, or for a
+rebuilt by the tree's own ``rebuild``: re-PACKed in memory, or for a
 :class:`~repro.storage.disk_rtree.DiskRTree` built beside the live file
 and swapped in atomically (:func:`repro.rtree.bulkload.rebuild_tree_file`),
-so the file stays readable until the swap instant.
+so the file stays readable until the swap instant.  Either way the
+repack runs under the tree's lock, so a concurrent search sees the tree
+before it or after it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.rtree.packing import (
     _lookup_method,
     _pack_levels,
 )
-from repro.rtree.tree import Tree
+from repro.rtree.tree import Tree, _leaf_items
 
 
 @dataclass(frozen=True)
@@ -73,31 +75,32 @@ def local_repack(tree: Tree, region: Optional[Rect] = None,
     """
     group_fn = _lookup_method(method)
     distance_fn = _lookup_distance(distance)
-    if not len(tree):
-        return RepackResult(0, 1, 1, 0)
-    refs, slots = tree._covering_path(region)
-    whole = len(refs) == 1
-    with obs.timer("rtree.repack"):
-        if whole:
-            nodes_before, height = tree.node_count, tree.depth
-            count = len(tree)
-            tree._rebuild(method, distance)
-            nodes_after = tree.node_count
-        else:
-            entries, nodes_before, height = tree._free_subtree(refs[-1])
-            count = len(entries)
-            sink, min_fill = tree._pack_sink()
-            root, packed_height = _pack_levels(
-                entries, tree.max_entries, group_fn, distance_fn, sink,
-                min_fill)
-            for _ in range(packed_height, height):
-                root = sink([root], False)
-            nodes_after = (sum(_level_sizes(count, tree.max_entries))
-                           + height - packed_height)
-            _is_leaf, parent = tree.store.fetch(refs[-2])
-            parent = list(parent)
-            parent[slots[-1]] = root
-            tree._adjust(refs, slots, len(refs) - 2, parent, False)
+    with tree.lock:
+        if not len(tree):
+            return RepackResult(0, 1, 1, 0)
+        refs, slots = tree._covering_path(region)
+        whole = len(refs) == 1
+        with obs.timer("rtree.repack"):
+            if whole:
+                nodes_before, height = tree.node_count, tree.depth
+                count = len(tree)
+                tree.rebuild(_leaf_items(tree._walk()), method, distance)
+                nodes_after = tree.node_count
+            else:
+                entries, nodes_before, height = tree._free_subtree(refs[-1])
+                count = len(entries)
+                sink, min_fill = tree._pack_sink()
+                root, packed_height = _pack_levels(
+                    entries, tree.max_entries, group_fn, distance_fn, sink,
+                    min_fill)
+                for _ in range(packed_height, height):
+                    root = sink([root], False)
+                nodes_after = (sum(_level_sizes(count, tree.max_entries))
+                               + height - packed_height)
+                _is_leaf, parent = tree.store.fetch(refs[-2])
+                parent = list(parent)
+                parent[slots[-1]] = root
+                tree._adjust(refs, slots, len(refs) - 2, parent, False)
     if obs.ENABLED:
         reg = obs.active()
         reg.bump("rtree.repack.invocations")

@@ -213,8 +213,8 @@ class IndexSummary:
 
 
 def summarize(index: Any, universe: Rect) -> IndexSummary:
-    """The :class:`IndexSummary` of a live tree: an in-memory or disk
-    tree, or a :class:`~repro.relational.diskindex.DiskSpatialIndex`."""
+    """The :class:`IndexSummary` of a live tree, in memory or on disk,
+    from one :meth:`~repro.rtree.tree.Tree.walk` snapshot."""
     return IndexSummary.of(walk_levels(index), universe)
 
 

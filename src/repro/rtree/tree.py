@@ -13,13 +13,17 @@ a packed tree (Section 3.4); the level-order walk; and validate.
 :class:`RTree` is the tree on a :class:`ListStore` (a ref indexes a
 list); :class:`repro.storage.disk_rtree.DiskRTree` is it on pages.  A
 stored entry list is never changed in place: every mutation writes a
-fresh one, so a fetched node can be shared freely.  See DESIGN.md §16.
+fresh one, so a fetched node can be shared freely.  Each tree holds one
+re-entrant ``lock``, and every public operation runs under it, so an
+operation is atomic against every other on the same tree: a search sees
+a splice, a rebuild or an insert whole or not at all.  See DESIGN.md §16.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
@@ -30,6 +34,15 @@ from repro.rtree.split import SplitStrategy, get_split_strategy
 
 #: One node entry: ``(x1, y1, x2, y2, ref)``.
 Entry = tuple
+
+
+def _leaf_items(nodes: Iterable[tuple[int, Any, bool, Sequence[Entry]]],
+                ) -> Iterator[tuple[Rect, Any]]:
+    """The ``(rect, oid)`` pairs in the leaves of a walk."""
+    for _level, _ref, is_leaf, entries in nodes:
+        if is_leaf:
+            for x1, y1, x2, y2, oid in entries:
+                yield Rect(x1, y1, x2, y2), oid
 
 
 def node_mbr(entries: Sequence[Entry]) -> tuple[float, float, float, float]:
@@ -88,10 +101,13 @@ class ListStore:
 class Tree:
     """Every R-tree algorithm, once, over ``self.store``.
 
-    A subclass sets ``store``, ``root`` (the root node's ref), ``_size``,
-    ``max_entries``, ``min_entries`` and ``split_strategy``, and names the
-    counter families its queries feed: ``_count_query(nodes, leaves,
-    tests, pruned, results)`` and ``_count_knn(nodes, results)``.
+    A subclass sets ``lock`` (a ``threading.RLock``), ``store``, ``root``
+    (the root node's ref), ``_size``, ``max_entries``, ``min_entries`` and
+    ``split_strategy``, and names the counter families its queries feed:
+    ``_count_query(nodes, leaves, tests, pruned, results)`` and
+    ``_count_knn(nodes, results)``.  Every public method takes ``lock``
+    for its whole run; a caller that needs several of them as one
+    operation (the join kernel, a repack and its commit) holds it too.
     """
 
     def __len__(self) -> int:
@@ -107,7 +123,8 @@ class Tree:
         accumulates the nodes, leaves and entries the search touched (the
         paper's A column counts the nodes).
         """
-        return self._search(window, False, stats)
+        with self.lock:
+            return self._search(window, False, stats)
 
     def search_within(self, window: Rect,
                       stats: Optional[SearchStats] = None) -> list[Any]:
@@ -116,7 +133,8 @@ class Tree:
         The paper's pseudo-code exactly: INTERSECTS prunes the descent,
         WITHIN filters at the leaves.
         """
-        return self._search(window, True, stats)
+        with self.lock:
+            return self._search(window, True, stats)
 
     def point_query(self, point: Point,
                     stats: Optional[SearchStats] = None) -> list[Any]:
@@ -125,8 +143,9 @@ class Tree:
         Table 1's search workload — "Is point (x1, y1) contained in the
         database?" — is a search with the degenerate window at *point*.
         """
-        return self._search((point.x, point.y, point.x, point.y), False,
-                            stats)
+        with self.lock:
+            return self._search((point.x, point.y, point.x, point.y), False,
+                                stats)
 
     def _search(self, window: Sequence[float], within: bool,
                 stats: Optional[SearchStats]) -> list[Any]:
@@ -179,57 +198,65 @@ class Tree:
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        if self._size == 0:
-            return []
-        px, py = point.x, point.y
-        fetch = self.store.fetch
-        hypot = math.hypot
-        heappush, heappop = heapq.heappush, heapq.heappop
-        # (distance, tiebreak, is_object, ref or oid)
-        heap: list[tuple[float, int, bool, Any]] = [(0.0, 0, False,
-                                                     self.root)]
-        out: list[tuple[float, Any]] = []
-        counter = nodes = leaves = tests = 0
-        while heap and len(out) < k:
-            dist, _tb, is_object, ref = heappop(heap)
-            if is_object:
-                out.append((dist, ref))
-                continue
-            is_leaf, entries = fetch(ref)
-            nodes += 1
-            leaves += is_leaf
-            tests += len(entries)
-            for x1, y1, x2, y2, child in entries:
-                counter += 1
-                dx = x1 - px
-                if dx < px - x2:
-                    dx = px - x2
-                if dx < 0.0:
-                    dx = 0.0
-                dy = y1 - py
-                if dy < py - y2:
-                    dy = py - y2
-                if dy < 0.0:
-                    dy = 0.0
-                heappush(heap, (hypot(dx, dy), counter, is_leaf, child))
-        if stats is not None:
-            stats.nodes_visited += nodes
-            stats.leaves_visited += leaves
-            stats.entries_tested += tests
-        if obs.ENABLED:
-            self._count_knn(nodes, len(out))
-        return out
+        with self.lock:
+            if self._size == 0:
+                return []
+            px, py = point.x, point.y
+            fetch = self.store.fetch
+            hypot = math.hypot
+            heappush, heappop = heapq.heappush, heapq.heappop
+            # (distance, tiebreak, is_object, ref or oid)
+            heap: list[tuple[float, int, bool, Any]] = [(0.0, 0, False,
+                                                         self.root)]
+            out: list[tuple[float, Any]] = []
+            counter = nodes = leaves = tests = 0
+            while heap and len(out) < k:
+                dist, _tb, is_object, ref = heappop(heap)
+                if is_object:
+                    out.append((dist, ref))
+                    continue
+                is_leaf, entries = fetch(ref)
+                nodes += 1
+                leaves += is_leaf
+                tests += len(entries)
+                for x1, y1, x2, y2, child in entries:
+                    counter += 1
+                    dx = x1 - px
+                    if dx < px - x2:
+                        dx = px - x2
+                    if dx < 0.0:
+                        dx = 0.0
+                    dy = y1 - py
+                    if dy < py - y2:
+                        dy = py - y2
+                    if dy < 0.0:
+                        dy = 0.0
+                    heappush(heap, (hypot(dx, dy), counter, is_leaf, child))
+            if stats is not None:
+                stats.nodes_visited += nodes
+                stats.leaves_visited += leaves
+                stats.entries_tested += tests
+            if obs.ENABLED:
+                self._count_knn(nodes, len(out))
+            return out
 
     # -- the level-order walk -------------------------------------------------
 
     def walk(self, ref: Any = None,
-             ) -> Iterator[tuple[int, Any, bool, Sequence[Entry]]]:
+             ) -> list[tuple[int, Any, bool, Sequence[Entry]]]:
         """Level-order walk of the subtree at *ref* (default: the tree).
 
-        Yields ``(level, ref, is_leaf, entries)`` per node, the subtree's
-        root at level 0 and each level left to right.  Every whole-tree
-        reader runs on this one walk.
+        ``(level, ref, is_leaf, entries)`` per node, the subtree's root at
+        level 0 and each level left to right.  Every whole-tree reader
+        runs on this one walk.  It is a snapshot taken under the lock, so
+        no lock stays held while a caller consumes it.
         """
+        with self.lock:
+            return list(self._walk(ref))
+
+    def _walk(self, ref: Any = None,
+              ) -> Iterator[tuple[int, Any, bool, Sequence[Entry]]]:
+        """:meth:`walk`, lazily, for a caller that holds the lock."""
         fetch = self.store.fetch
         frontier = [self.root if ref is None else ref]
         level = 0
@@ -246,32 +273,33 @@ class Tree:
     @property
     def depth(self) -> int:
         """Edges from root to leaves (Table 1's D column; 0 = root only)."""
-        fetch = self.store.fetch
-        is_leaf, entries = fetch(self.root)
-        depth = 0
-        while not is_leaf:
-            is_leaf, entries = fetch(entries[0][4])
-            depth += 1
-        return depth
+        with self.lock:
+            fetch = self.store.fetch
+            is_leaf, entries = fetch(self.root)
+            depth = 0
+            while not is_leaf:
+                is_leaf, entries = fetch(entries[0][4])
+                depth += 1
+            return depth
 
     @property
     def node_count(self) -> int:
         """Total nodes including the root (Table 1's N column)."""
-        return sum(1 for _ in self.walk())
+        with self.lock:
+            return sum(1 for _ in self._walk())
 
     def items(self) -> Iterator[tuple[Rect, Any]]:
-        """Every stored ``(rect, oid)`` pair, leaves left to right."""
-        for _level, _ref, is_leaf, entries in self.walk():
-            if is_leaf:
-                for x1, y1, x2, y2, oid in entries:
-                    yield Rect(x1, y1, x2, y2), oid
+        """Every stored ``(rect, oid)`` pair, leaves left to right, from
+        a :meth:`walk` snapshot."""
+        return _leaf_items(self.walk())
 
     def __iter__(self) -> Iterator[tuple[Rect, Any]]:
         return self.items()
 
     def bounds(self) -> Optional[Rect]:
         """MBR of the whole tree, or ``None`` when empty."""
-        _is_leaf, entries = self.store.fetch(self.root)
+        with self.lock:
+            _is_leaf, entries = self.store.fetch(self.root)
         return Rect(*node_mbr(entries)) if entries else None
 
     # -- INSERT ---------------------------------------------------------------
@@ -284,13 +312,15 @@ class Tree:
         """
         if not rect.is_valid():
             raise ValueError(f"invalid rectangle {rect!r}")
-        self._insert((rect[0], rect[1], rect[2], rect[3], oid), 0)
-        self._size += 1
+        with self.lock:
+            self._insert((rect[0], rect[1], rect[2], rect[3], oid), 0)
+            self._size += 1
 
     def insert_all(self, items: Iterable[tuple[Rect, Any]]) -> None:
         """Insert many ``(rect, oid)`` pairs with repeated dynamic INSERTs."""
-        for rect, oid in items:
-            self.insert(rect, oid)
+        with self.lock:
+            for rect, oid in items:
+                self.insert(rect, oid)
 
     def _insert(self, entry: Entry, height: int) -> None:
         """Add *entry* to a node *height* levels above the leaves."""
@@ -377,12 +407,14 @@ class Tree:
         Returns ``True`` if a record was found and removed.  Guttman's
         DELETE: FindLeaf, then CondenseTree.
         """
-        found = self._find_leaf((rect[0], rect[1], rect[2], rect[3], oid))
-        if found is None:
-            return False
-        self._size -= 1
-        self._condense(*found)
-        return True
+        with self.lock:
+            found = self._find_leaf((rect[0], rect[1], rect[2], rect[3],
+                                     oid))
+            if found is None:
+                return False
+            self._size -= 1
+            self._condense(*found)
+            return True
 
     def _find_leaf(self, target: Entry,
                    ) -> Optional[tuple[list[Any], list[int], list[Entry]]]:
@@ -460,10 +492,12 @@ class Tree:
         The pictorial use case: erase a region of the picture.
         """
         test = window.contains if within else window.intersects
-        doomed = [(rect, oid) for rect, oid in self.items() if test(rect)]
-        for rect, oid in doomed:
-            removed = self.delete(rect, oid)
-            assert removed, "leaf entry vanished during delete_window"
+        with self.lock:
+            doomed = [(rect, oid) for rect, oid in self.items()
+                      if test(rect)]
+            for rect, oid in doomed:
+                removed = self.delete(rect, oid)
+                assert removed, "leaf entry vanished during delete_window"
         return len(doomed)
 
     # -- local repack support -------------------------------------------------
@@ -506,7 +540,7 @@ class Tree:
         out: list[Entry] = []
         refs = []
         height = 0
-        for level, node_ref, is_leaf, entries in self.walk(ref):
+        for level, node_ref, is_leaf, entries in self._walk(ref):
             refs.append(node_ref)
             if is_leaf:
                 out += entries
@@ -535,11 +569,15 @@ class Tree:
         - the store holds no node the walk does not reach (on disk: header
           + meta + reachable + free pages == the file's page count).
         """
+        with self.lock:
+            self._validate(check_fill)
+
+    def _validate(self, check_fill: bool) -> None:
         parent_rect: dict[Any, tuple] = {}
         seen: set[Any] = set()
         leaf_levels: set[int] = set()
         size = 0
-        for level, ref, is_leaf, entries in self.walk():
+        for level, ref, is_leaf, entries in self._walk():
             assert ref not in seen, f"node {ref!r} is reachable twice"
             seen.add(ref)
             assert len(entries) <= self.max_entries, (
@@ -598,6 +636,7 @@ class RTree(Tree):
         if isinstance(split, str):
             split = get_split_strategy(split)
         self.split_strategy = split
+        self.lock = threading.RLock()
         self.store = ListStore()
         self.root = self.store.allocate()
         self.store.write(self.root, True, [])
@@ -628,9 +667,15 @@ class RTree(Tree):
         fill."""
         return self._new_node, self.pack_fill
 
-    def _rebuild(self, method: str, distance: str) -> None:
-        """Re-PACK the whole tree in place."""
+    def rebuild(self, items: Iterable[tuple[Rect, Any]], method: str,
+                distance: str = "center") -> None:
+        """Re-PACK the whole tree in place from *items*, under the lock."""
         from repro.rtree.packing import pack
 
-        fresh = pack(list(self.items()), self.max_entries, method, distance)
-        self.store, self.root = fresh.store, fresh.root
+        with self.lock:
+            fresh = pack(list(items), self.max_entries, method, distance)
+            self.store, self.root, self._size = (fresh.store, fresh.root,
+                                                 len(fresh))
+
+    def flush(self) -> None:
+        """Nothing to write back: the tree lives in memory."""

@@ -10,12 +10,13 @@ coverage/overlap signal says have decayed (Section 3.4's update
 problem).
 
 The scheduler is deliberately dumb about concurrency: each repack goes
-through ``Database.repack``, which serialises against queries at the
-index's own lock (:class:`~repro.relational.diskindex.DiskSpatialIndex`)
-and bumps the catalog generation; the server's post-cycle hook then
-drops stale result-cache entries.  Thread-executor servers only —
-process workers hold their own catalog copies, which background repacks
-here would never reach (the same restriction as online ``REPACK``).
+through ``Database.repack``, which runs it under the index's own lock
+(every tree operation is atomic on its own tree, see
+:mod:`repro.rtree.tree`) and bumps the catalog generation; the server's
+post-cycle hook then drops stale result-cache entries.  Thread-executor
+servers only — process workers hold their own catalog copies, which
+background repacks here would never reach (the same restriction as
+online ``REPACK``).
 """
 
 from __future__ import annotations

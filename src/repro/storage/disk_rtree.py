@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
+import threading
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro import obs
@@ -31,6 +32,7 @@ from repro.rtree.packing import (
 )
 from repro.rtree.split import QuadraticSplit
 from repro.rtree.tree import Entry, Tree, node_mbr
+from repro.storage import failpoints
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import PAGE_SIZE, Pager, PagerError
 from repro.storage.serial import (
@@ -45,6 +47,15 @@ _META_PAGE = 1
 #: A whole-tree build on a WAL-attached file commits every this many
 #: node pages, bounding the pager's staging buffer.
 _COMMIT_EVERY = 1024
+
+FP_SWAP_BEFORE = failpoints.declare(
+    "bulkload.swap.before-replace",
+    "fresh tree fully built and closed, live file not yet replaced "
+    "(a crash must leave the old tree intact)")
+FP_SWAP_AFTER = failpoints.declare(
+    "bulkload.swap.after-replace",
+    "live file already replaced by the fresh tree "
+    "(a crash must leave the new tree readable)")
 
 
 class TreeMetaError(PagerError):
@@ -180,6 +191,7 @@ class DiskRTree(Tree):
                  wal_path: Optional[str] = None, wal_sync: str = "fsync"):
         self._wal_path = wal_path
         self._wal_sync = wal_sync
+        self.lock = threading.RLock()
         self._open(path, page_size, buffer_capacity)
         payload_capacity = page_size - 8  # pager page prefix
         fit = max_entries_per_page(payload_capacity)
@@ -268,15 +280,17 @@ class DiskRTree(Tree):
         """Guttman INSERT of *oid*, a non-negative integer, stored with
         *rect*'s coordinates as the f64s a page holds."""
         oid = _checked_oid(rect, oid)
-        super().insert(Rect(*map(float, rect)), oid)
-        self._write_meta()
+        with self.lock:
+            super().insert(Rect(*map(float, rect)), oid)
+            self._write_meta()
 
     def delete(self, rect: Rect, oid: int) -> bool:
         """Guttman DELETE; returns False when the record is not present."""
-        found = super().delete(rect, oid)
-        if found:
-            self._write_meta()
-        return found
+        with self.lock:
+            found = super().delete(rect, oid)
+            if found:
+                self._write_meta()
+            return found
 
     @staticmethod
     def _count_query(nodes: int, leaves: int, tests: int, pruned: int,
@@ -301,12 +315,57 @@ class DiskRTree(Tree):
         ``_emit_level``): a disk node never drops below it."""
         return min(self.min_entries, self.max_entries // 2)
 
-    def _rebuild(self, method: str, distance: str) -> None:
-        """Rebuild the whole tree beside the live file and swap it in
-        (out of core, so *distance* and ``nn`` do not apply)."""
-        from repro.rtree.bulkload import rebuild_tree_file
+    def rebuild(self, items: Iterable[tuple[Rect, int]], method: str,
+                distance: str = "center") -> None:
+        """Rebuild the whole tree from *items*, under the lock.
 
-        rebuild_tree_file(self, self.items(), method=method)
+        The streamed loader builds a fresh file beside the live one
+        (``<path>.rebuild``, without a WAL, fsynced by its close), which
+        :meth:`_swap_in` then moves into place: the live tree stays
+        readable until the swap instant.  Only the orders the
+        out-of-core loader sorts apply, and none of them reads
+        *distance*.
+
+        Raises:
+            ValueError: for an order the out-of-core loader cannot sort
+                (``nn``), before any page is written.
+        """
+        from repro.rtree.bulkload import SORT_KEYS, bulk_load_stream
+
+        if method not in SORT_KEYS:
+            raise ValueError(
+                f"a disk tree rebuilds out of core, which sorts only "
+                f"{', '.join(SORT_KEYS)}; got {method!r}")
+        with self.lock:
+            fresh_path = self.pager.path + ".rebuild"
+            if os.path.exists(fresh_path):
+                os.remove(fresh_path)  # a stale one from an earlier crash
+            with DiskRTree(fresh_path, max_entries=self.max_entries,
+                           page_size=self.pager.page_size) as fresh:
+                bulk_load_stream(fresh, items, method=method)
+            self._swap_in(fresh_path)
+            if obs.ENABLED:
+                obs.active().bump("rtree.bulkload.swaps")
+
+    def _swap_in(self, fresh_path: str) -> None:
+        """Replace the backing file with the closed tree file at
+        *fresh_path* by ``os.replace``, and reopen on it.
+
+        The live pager is closed first (checkpointing any WAL).  Before
+        the replace the old file is intact, after it the new one is
+        complete and fsynced, so a crash at any instant leaves a
+        readable tree; the failpoints :data:`FP_SWAP_BEFORE` and
+        :data:`FP_SWAP_AFTER` let tests prove both halves.
+        """
+        path, page_size = self.pager.path, self.pager.page_size
+        self.pager.close()
+        if failpoints.ACTIVE:
+            failpoints.hit(FP_SWAP_BEFORE)
+        os.replace(fresh_path, path)
+        if failpoints.ACTIVE:
+            failpoints.hit(FP_SWAP_AFTER)
+        self._open(path, page_size, self.pool.capacity)
+        self._read_meta()
 
     # -- bulk load ---------------------------------------------------------------
 
@@ -328,21 +387,23 @@ class DiskRTree(Tree):
                 is an initial-construction operation, per Section 3.3),
                 or for a negative object id or an invalid rectangle.
         """
-        if self._size:
-            raise ValueError("bulk_load requires an empty tree")
-        group_fn = _lookup_method(method)
-        distance_fn = _lookup_distance(distance)
-        entries = [(*rect, _checked_oid(rect, oid)) for rect, oid in items]
-        if entries:
-            with obs.timer("storage.disk_rtree.bulk_load"):
-                writer = _NodeWriter.fresh(self, sum(
-                    _level_sizes(len(entries), self.max_entries)))
-                root, _height = _pack_levels(
-                    entries, self.max_entries, group_fn, distance_fn,
-                    writer.write, self.pack_fill)
-            assert root[4] == self.root, "level sizes drifted"
-            self._size = len(entries)
-        self._write_meta()
+        with self.lock:
+            if self._size:
+                raise ValueError("bulk_load requires an empty tree")
+            group_fn = _lookup_method(method)
+            distance_fn = _lookup_distance(distance)
+            entries = [(*rect, _checked_oid(rect, oid))
+                       for rect, oid in items]
+            if entries:
+                with obs.timer("storage.disk_rtree.bulk_load"):
+                    writer = _NodeWriter.fresh(self, sum(
+                        _level_sizes(len(entries), self.max_entries)))
+                    root, _height = _pack_levels(
+                        entries, self.max_entries, group_fn, distance_fn,
+                        writer.write, self.pack_fill)
+                assert root[4] == self.root, "level sizes drifted"
+                self._size = len(entries)
+            self._write_meta()
 
     def bulk_load_stream(self, items: Iterable[tuple[Rect, int]],
                          method: str = REBUILD_METHOD,
@@ -369,29 +430,25 @@ class DiskRTree(Tree):
         Returns:
             ``(pages_before, pages_after)``.
         """
-        self.flush()
-        pages_before = self.pager.page_count
-        path, page_size = self.pager.path, self.pager.page_size
-        tmp_path = path + ".vacuum"
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        fresh = DiskRTree(tmp_path, max_entries=self.max_entries,
-                          page_size=page_size,
-                          buffer_capacity=self.pool.capacity)
-        # Recycle the constructor's empty root page as the copied root so
-        # repeated vacuums are page-for-page stable.
-        fresh.root = self._copy_into(fresh, self.root, into=fresh.root)
-        fresh._size = self._size
-        fresh._write_meta()
-        fresh.flush()
-        pages_after = fresh.pager.page_count
-        fresh.pager.close()
-
-        self.pager.close()  # checkpoints + truncates any WAL first
-        os.replace(tmp_path, path)
-        self._open(path, page_size, self.pool.capacity)
-        self._read_meta()
-        return pages_before, pages_after
+        with self.lock:
+            self.flush()
+            pages_before = self.pager.page_count
+            tmp_path = self.pager.path + ".vacuum"
+            if os.path.exists(tmp_path):
+                os.remove(tmp_path)
+            fresh = DiskRTree(tmp_path, max_entries=self.max_entries,
+                              page_size=self.pager.page_size,
+                              buffer_capacity=self.pool.capacity)
+            # Recycle the constructor's empty root page as the copied
+            # root so repeated vacuums are page-for-page stable.
+            fresh.root = self._copy_into(fresh, self.root, into=fresh.root)
+            fresh._size = self._size
+            fresh._write_meta()
+            fresh.flush()
+            pages_after = fresh.pager.page_count
+            fresh.pager.close()
+            self._swap_in(tmp_path)
+            return pages_before, pages_after
 
     def _copy_into(self, target: "DiskRTree", page_no: int,
                    into: Optional[int] = None) -> int:
@@ -413,16 +470,18 @@ class DiskRTree(Tree):
 
     def flush(self) -> None:
         """Write all dirty pages and the meta page to disk."""
-        self._write_meta()
-        self.pool.flush()
-        self.pager.sync()
+        with self.lock:
+            self._write_meta()
+            self.pool.flush()
+            self.pager.sync()
 
     def close(self) -> None:
         """Flush and close the backing file (idempotent)."""
-        if self.pager.is_closed:
-            return
-        self.flush()
-        self.pager.close()
+        with self.lock:
+            if self.pager.is_closed:
+                return
+            self.flush()
+            self.pager.close()
 
     def __enter__(self) -> "DiskRTree":
         return self

@@ -1,18 +1,19 @@
 """Disk-backed picture indexes and the offline rebuild path."""
 
 import random
+import sys
 import threading
 
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.psql.executor import Session
+from repro.psql.executor import Session, _Execution
+from repro.psql.parser import parse
+from repro.psql.planner import plan_query
 from repro.relational import Column, Database
-from repro.relational.catalog import index_items
-from repro.relational.diskindex import DiskSpatialIndex
-from repro.rtree import bulkload
 from repro.server.demo import demo_database
-from repro.storage import failpoints
+from repro.storage import disk_rtree, failpoints
+from repro.storage.disk_rtree import DiskRTree
 
 
 @pytest.fixture(autouse=True)
@@ -117,11 +118,11 @@ class TestRebuildIndex:
         path = str(tmp_path / "i.db")
         disk = pic.register_disk(rel, "loc", path, max_entries=8)
         old = sorted(disk.search(Rect(0, 0, 1000, 1000)))
-        failpoints.arm(bulkload.FP_SWAP_BEFORE, "crash")
+        failpoints.arm(disk_rtree.FP_SWAP_BEFORE, "crash")
         with pytest.raises(failpoints.SimulatedCrash):
             db.rebuild_index("map", "cities")
         # A restarted process reopens the untouched old file.
-        recovered = DiskSpatialIndex(path, max_entries=8)
+        recovered = DiskRTree(path, max_entries=8)
         assert sorted(recovered.search(Rect(0, 0, 1000, 1000))) == old
         recovered.close()
 
@@ -131,29 +132,47 @@ class TestRebuildIndex:
         db, rel, pic = _make_db(n=300)
         disk = pic.register_disk(rel, "loc", str(tmp_path / "i.db"),
                                  max_entries=8)
-        stop = threading.Event()
-        failures: list[BaseException] = []
-
-        def searcher() -> None:
-            try:
-                while not stop.is_set():
-                    got = disk.search(Rect(0, 0, 1000, 1000))
-                    assert len(got) == 300
-            except BaseException as exc:  # noqa: BLE001 - fail the test below
-                failures.append(exc)
-
-        threads = [threading.Thread(target=searcher) for _ in range(3)]
-        for t in threads:
-            t.start()
-        try:
-            for _ in range(3):
-                disk.rebuild(index_items(rel, "loc"), run_size=100)
-        finally:
-            stop.set()
-            for t in threads:
-                t.join(10)
-        assert not failures, failures
+        _rebuild_under_searches(db, disk)
         disk.close()
+
+    def test_in_memory_rebuild_serialises_against_searches(self):
+        """The same on an in-memory index, which REPACK rebuilds in
+        place: never a store from one tree and a root from another."""
+        db, rel, pic = _make_db(n=300)
+        _rebuild_under_searches(db, pic.register(rel, "loc", max_entries=8))
+
+
+def _rebuild_under_searches(db, index):
+    """Three searcher threads run whole-window searches while REPACK
+    rebuilds *index* three times; each must see all 300 rows."""
+    stop = threading.Event()
+    failures: list[BaseException] = []
+
+    def searcher() -> None:
+        try:
+            while not stop.is_set():
+                got = index.search(Rect(0, 0, 1000, 1000))
+                assert len(got) == 300
+        except BaseException as exc:  # noqa: BLE001 - fail the test below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=searcher) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    for t in threads:
+        t.start()
+    try:
+        for _ in range(3):
+            db.rebuild_index("map", "cities")
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures
+    assert db.picture("map").index("cities") is index
+    assert sorted(index.search(Rect(0, 0, 1000, 1000))) == list(range(300))
 
 
 class TestJuxtapositionOverDisk:
@@ -180,6 +199,30 @@ class TestJuxtapositionOverDisk:
                               session.execute("explain " + query).rows)
             assert "spatial-join" in plan
             assert sorted(session.execute(query).rows) == want
+        finally:
+            for index in indexes:
+                index.close()
+
+    @pytest.mark.parametrize("force", ["nested-left", "nested-right"])
+    def test_nested_plans_over_disk_pictures(self, tmp_path, force):
+        """The planner offers the nested strategy on every tree form;
+        forced over two disk pictures, it finds what lockstep finds."""
+        query = parse(
+            "select lake, zone from lakes, time-zones "
+            "on lake-map, time-zone-map "
+            "at lakes.loc intersecting time-zones.loc")
+        db = demo_database(scale=2)
+        session = Session(db)
+        want = sorted(session.run(query).rows)
+        indexes = [db.picture(picture).register_disk(
+                       db.relation(name), "loc", str(tmp_path / name))
+                   for name, picture in (("lakes", "lake-map"),
+                                         ("time-zones", "time-zone-map"))]
+        try:
+            plan = plan_query(db, query, force=force)
+            assert plan.access.props["strategy"] == "nested"
+            got = _Execution(Session(db), query, plan=plan).run().rows
+            assert sorted(got) == want
         finally:
             for index in indexes:
                 index.close()

@@ -12,16 +12,13 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.rtree import bulkload
 from repro.rtree.bulkload import (
     SORT_KEYS,
     BulkLoadStats,
     _level_sizes,
     bulk_load_stream,
-    build_tree_file,
-    rebuild_tree_file,
 )
-from repro.storage import failpoints
+from repro.storage import disk_rtree, failpoints
 from repro.storage.disk_rtree import DiskRTree
 
 
@@ -151,11 +148,10 @@ class TestEdgeCases:
             assert reopened.search(Rect(0, 0, 1000, 1000)) == []
             assert reopened.point_query(Point(1, 1)) == []
 
-    def test_build_tree_file_empty_input(self, tmp_path):
+    def test_rebuild_from_nothing_reopens_empty(self, tmp_path):
         path = str(tmp_path / "empty.db")
-        stats = build_tree_file(path, iter(()), max_entries=8)
-        assert stats == BulkLoadStats(items=0, runs=0, levels=1,
-                                      nodes_written=0)
+        with DiskRTree(path, max_entries=8) as tree:
+            tree.rebuild(iter(()), "str")
         with DiskRTree(path, max_entries=8) as t:
             assert len(t) == 0
             assert t.search(Rect(0, 0, 1000, 1000)) == []
@@ -163,8 +159,8 @@ class TestEdgeCases:
     def test_rebuild_to_empty(self, tmp_path):
         tree = DiskRTree(str(tmp_path / "t.db"), max_entries=8)
         bulk_load_stream(tree, _items(100), run_size=40)
-        stats = rebuild_tree_file(tree, iter(()))
-        assert stats.items == 0 and len(tree) == 0
+        tree.rebuild(iter(()), "str")
+        assert len(tree) == 0
         assert tree.search(Rect(0, 0, 1000, 1000)) == []
         tree.close()
 
@@ -301,20 +297,20 @@ class TestRebuildAndSwap:
         tree = DiskRTree(path, max_entries=8)
         bulk_load_stream(tree, _items(200, seed=1), run_size=50)
         new_items = _items(900, seed=2)
-        stats = rebuild_tree_file(tree, iter(new_items), run_size=200)
-        assert stats.items == len(tree) == 900
+        tree.rebuild(iter(new_items), "str")
+        assert len(tree) == 900
         w = Rect(0, 0, 400, 400)
         assert sorted(tree.search(w)) == sorted(
             oid for rect, oid in new_items if rect.intersects(w))
         assert not os.path.exists(path + ".rebuild")
         tree.close()
 
-    def test_build_tree_file_overwrites_stale_leftover(self, tmp_path):
-        path = str(tmp_path / "x.rebuild")
-        with open(path, "wb") as f:
+    def test_rebuild_overwrites_stale_leftover(self, tmp_path):
+        path = str(tmp_path / "x.db")
+        with open(path + ".rebuild", "wb") as f:
             f.write(b"junk from a crashed earlier rebuild")
-        stats = build_tree_file(path, _items(50), max_entries=8)
-        assert stats.items == 50
+        with DiskRTree(path, max_entries=8) as tree:
+            tree.rebuild(_items(50), "str")
         with DiskRTree(path, max_entries=8) as t:
             assert len(t) == 50
 
@@ -323,9 +319,9 @@ class TestRebuildAndSwap:
         tree = DiskRTree(path, max_entries=8)
         old_items = _items(300, seed=5)
         bulk_load_stream(tree, iter(old_items), run_size=100)
-        failpoints.arm(bulkload.FP_SWAP_BEFORE, "crash")
+        failpoints.arm(disk_rtree.FP_SWAP_BEFORE, "crash")
         with pytest.raises(failpoints.SimulatedCrash):
-            rebuild_tree_file(tree, _items(50, seed=6), run_size=25)
+            tree.rebuild(_items(50, seed=6), "str")
         # "Recover": reopen from disk as a fresh process would.
         with DiskRTree(path, max_entries=8) as recovered:
             assert len(recovered) == 300
@@ -338,9 +334,9 @@ class TestRebuildAndSwap:
         tree = DiskRTree(path, max_entries=8)
         bulk_load_stream(tree, _items(300, seed=5), run_size=100)
         new_items = _items(80, seed=6)
-        failpoints.arm(bulkload.FP_SWAP_AFTER, "crash")
+        failpoints.arm(disk_rtree.FP_SWAP_AFTER, "crash")
         with pytest.raises(failpoints.SimulatedCrash):
-            rebuild_tree_file(tree, iter(new_items), run_size=25)
+            tree.rebuild(iter(new_items), "str")
         with DiskRTree(path, max_entries=8) as recovered:
             assert len(recovered) == 80
             w = Rect(0, 0, 500, 500)
@@ -348,5 +344,5 @@ class TestRebuildAndSwap:
                 oid for rect, oid in new_items if rect.intersects(w))
 
     def test_failpoints_are_declared(self):
-        assert bulkload.FP_SWAP_BEFORE in failpoints.names()
-        assert bulkload.FP_SWAP_AFTER in failpoints.names()
+        assert disk_rtree.FP_SWAP_BEFORE in failpoints.names()
+        assert disk_rtree.FP_SWAP_AFTER in failpoints.names()

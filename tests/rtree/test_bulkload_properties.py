@@ -13,7 +13,9 @@ Every loader — the streaming ``bulk_load_stream`` with each sort key
 - answer window queries identically to a brute-force scan, and
 - keep every non-root node's fill inside ``[min_fill, max_entries]``
   (the trailing-node rule: no near-empty rightmost spine; the in-memory
-  PACK keeps the paper's trailing node, min_fill 0).
+  PACK keeps the paper's trailing node, min_fill 0), and
+- (``str`` on points with distinct x) have no two leaves overlapping in
+  positive area: Theorem 3.2 on both axes.
 
 Distributions are drawn adversarially: uniform points, tight Gaussian
 clusters, duplicated coordinates, degenerate single-point inputs.
@@ -22,13 +24,15 @@ clusters, duplicated coordinates, degenerate single-point inputs.
 import math
 import os
 
-from hypothesis import HealthCheck, assume, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
 from repro.rtree.bulkload import SORT_KEYS, bulk_load_stream
 from repro.rtree.packing import PACK_METHODS, pack
 from repro.rtree.repack import local_repack
+from repro.rtree.tree import node_mbr
 from repro.storage.disk_rtree import DiskRTree
 
 coords = st.floats(min_value=0.0, max_value=1000.0,
@@ -244,3 +248,49 @@ def test_adaptive_agrees_with_brute_force_knn_free(tmp_path_factory, items,
     finally:
         adaptive.close()
         hilbert.close()
+
+
+@st.composite
+def distinct_x_points(draw):
+    """Points with pairwise distinct x; y is drawn from a narrow or a
+    wide range, so ties in y are common or rare."""
+    n = draw(st.integers(min_value=5, max_value=700))
+    rng = draw(st.randoms(use_true_random=False))
+    y_max = draw(st.sampled_from([3, 50, 10**6]))
+    return [(Rect(x, y, x, y), i) for i, (x, y) in enumerate(
+        (x, rng.randint(0, y_max)) for x in rng.sample(range(10**6), n))]
+
+
+#: Nine points whose last STR slab is one node below the disk fill: the
+#: trailing-node rule once merged it with the top of the slab before it.
+LONE_LAST_SLAB = [(Rect(x, y, x, y), i) for i, (x, y) in enumerate(
+    [(5, 6), (33, 16), (38, 3), (49, 15), (51, 4), (53, 18), (62, 9),
+     (65, 4), (97, 11)])]
+
+
+@pytest.mark.parametrize("form", ["memory", "disk"])
+@given(items=distinct_x_points(), max_entries=fanouts)
+@example(items=LONE_LAST_SLAB, max_entries=4)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_theorem_3_2_str_leaves_do_not_overlap(tmp_path_factory, form, items,
+                                               max_entries):
+    """Theorem 3.2 on both axes: a fresh STR pack of points with distinct
+    x has no two leaves that overlap in positive area (a shared edge has
+    none).  On disk this includes the trailing-node rule, which must not
+    merge a node across two x slabs."""
+    if form == "memory":
+        tree = pack(items, max_entries=max_entries, method="str")
+    else:
+        tree = DiskRTree(os.path.join(str(tmp_path_factory.mktemp("thm")),
+                                      "t.db"), max_entries=max_entries)
+        tree.bulk_load(items, method="str")
+    leaves = [node_mbr(entries) for _level, _ref, is_leaf, entries
+              in tree.walk() if is_leaf]
+    overlapping = [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]
+                   if min(a[2], b[2]) > max(a[0], b[0])
+                   and min(a[3], b[3]) > max(a[1], b[1])]
+    assert overlapping == []
+    assert len(leaves) == math.ceil(len(items) / max_entries)
+    if form == "disk":
+        tree.close()

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.geometry import Rect
 from repro.geometry.predicates import OPERATORS
-from repro.relational.diskindex import DiskSpatialIndex
 from repro.rtree import join as join_module
 from repro.rtree.join import JoinStats, nested_window_join, spatial_join
 from repro.rtree.packing import pack
@@ -154,13 +153,13 @@ def test_every_operator_strategy_and_form_matches_brute_force(
     left_items = [(r, i) for i, r in enumerate(left_rects)]
     right_items = [(r, 100 + i) for i, r in enumerate(right_rects)]
     with tempfile.TemporaryDirectory() as directory:
-        # Disk sides are picture indexes, which lend their tree under
-        # their lock.
+        # Disk sides are built as picture indexes are: streamed, in the
+        # rebuild order.
         disk = {}
         for side, items in (("l", left_items), ("r", right_items)):
-            disk[side] = DiskSpatialIndex(
+            disk[side] = DiskRTree(
                 os.path.join(directory, side + ".db"), max_entries=4)
-            disk[side].load(items)
+            disk[side].bulk_load_stream(items)
         memory_l = pack(left_items, max_entries=4)
         memory_r = pack(right_items, max_entries=4)
         pairs = {"memory/memory": (memory_l, memory_r),
@@ -287,10 +286,28 @@ def test_opposite_joins_of_two_disk_indexes_do_not_deadlock(tmp_path):
     rng = random.Random(9)
     left_items = grid_items(rng, 120, 0)
     right_items = grid_items(rng, 120, 1000)
-    a = DiskSpatialIndex(str(tmp_path / "a.db"), max_entries=4)
-    b = DiskSpatialIndex(str(tmp_path / "b.db"), max_entries=4)
-    a.load(left_items)
-    b.load(right_items)
+    a = DiskRTree(str(tmp_path / "a.db"), max_entries=4)
+    b = DiskRTree(str(tmp_path / "b.db"), max_entries=4)
+    a.bulk_load_stream(left_items)
+    b.bulk_load_stream(right_items)
+    try:
+        _opposite_joins(a, b, left_items, right_items)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_opposite_joins_of_two_in_memory_trees_do_not_deadlock():
+    """The same on two in-memory trees, which hold the same lock."""
+    rng = random.Random(9)
+    left_items = grid_items(rng, 120, 0)
+    right_items = grid_items(rng, 120, 1000)
+    _opposite_joins(pack(left_items, max_entries=4),
+                    pack(right_items, max_entries=4),
+                    left_items, right_items)
+
+
+def _opposite_joins(a, b, left_items, right_items):
     want = brute_force("intersecting", left_items, right_items)
     errors = []
 
@@ -317,6 +334,4 @@ def test_opposite_joins_of_two_disk_indexes_do_not_deadlock(tmp_path):
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-        a.close()
-        b.close()
     assert errors == []

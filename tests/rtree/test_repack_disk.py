@@ -152,6 +152,22 @@ class TestWholeTree:
         finally:
             tree.close()
 
+    def test_unsortable_order_is_rejected_before_any_write(self, churned):
+        """The out-of-core rebuild cannot sort the paper's nn order: a
+        whole-tree repack in it is refused up front, naming the orders
+        it can sort, and leaves the tree as it was."""
+        tree, live, _region = churned
+        pages = tree.pager.page_count
+        with pytest.raises(ValueError, match="'nn'") as refused:
+            local_repack_disk(tree, region=None, method="nn")
+        for order in ("str", "hilbert", "lowx"):
+            assert order in str(refused.value)
+        assert len(tree) == len(live)
+        assert tree.pager.page_count == pages
+        assert not os.path.exists(tree.pager.path + ".rebuild")
+        tree.validate(check_fill=False)
+        assert_equivalent(tree, live)
+
     def test_empty_tree_is_a_noop_success(self, tmp_path):
         tree = DiskRTree(os.path.join(str(tmp_path), "e.db"),
                          max_entries=8)
