@@ -191,7 +191,11 @@ class Tree:
         this paper (Roussopoulos, Kelley & Vincent 1995): only nodes whose
         MBR could hold a result are fetched.  Distances are to object
         MBRs and equal :meth:`~repro.geometry.rect.Rect.min_distance_to`
-        of the degenerate query rectangle, bit for bit.
+        of the degenerate query rectangle, bit for bit.  The k smallest
+        object distances pushed so far bound the answer: an entry
+        strictly farther than the k-th of them would pop only after k
+        results, so it is never pushed.  Ties are pushed, and every
+        entry takes a tiebreak, so the pop order is the unbounded one.
 
         Raises:
             ValueError: for non-positive *k*.
@@ -205,10 +209,15 @@ class Tree:
             fetch = self.store.fetch
             hypot = math.hypot
             heappush, heappop = heapq.heappush, heapq.heappop
+            heapreplace = heapq.heapreplace
             # (distance, tiebreak, is_object, ref or oid)
             heap: list[tuple[float, int, bool, Any]] = [(0.0, 0, False,
                                                          self.root)]
             out: list[tuple[float, Any]] = []
+            # The k smallest object distances pushed so far, negated: a
+            # max-heap seeded with infinities, whose top is the bound.
+            nearest = [-math.inf] * min(k, self._size)
+            bound = math.inf
             counter = nodes = leaves = tests = 0
             while heap and len(out) < k:
                 dist, _tb, is_object, ref = heappop(heap)
@@ -231,7 +240,13 @@ class Tree:
                         dy = py - y2
                     if dy < 0.0:
                         dy = 0.0
-                    heappush(heap, (hypot(dx, dy), counter, is_leaf, child))
+                    dist = hypot(dx, dy)
+                    if dist > bound:
+                        continue
+                    if is_leaf:
+                        heapreplace(nearest, -dist)
+                        bound = -nearest[0]
+                    heappush(heap, (dist, counter, is_leaf, child))
             if stats is not None:
                 stats.nodes_visited += nodes
                 stats.leaves_visited += leaves

@@ -7,6 +7,7 @@ admission gate answers ``BUSY``; the cache serves repeats and misses
 after a generation bump; shutdown drains in-flight queries.
 """
 
+import functools
 import random
 import threading
 import time
@@ -45,11 +46,16 @@ def _addr(srv):
     return srv.config.host, srv.port
 
 
-def nap_session_factory(db):
-    """Sessions with a sleep function installed, for timeout/busy tests."""
+def nap_session_factory(db, started=None):
+    """Sessions with a sleep function installed, for timeout/busy tests.
+
+    *started*, a ``threading.Event``, is set each time a nap begins.
+    """
     session = Session(db)
 
     def nap(ms):
+        if started is not None:
+            started.set()
         time.sleep(ms / 1000.0)
         return ms
 
@@ -362,10 +368,13 @@ class TestStats:
 
 class TestGracefulShutdown:
     def test_inflight_query_drains_before_close(self, map_database):
+        started = threading.Event()
         srv = PsqlServer(
             ServerConfig(port=0, workers=1, query_timeout=10.0,
                          drain_timeout=10.0),
-            db=map_database, session_factory=nap_session_factory)
+            db=map_database,
+            session_factory=functools.partial(nap_session_factory,
+                                              started=started))
         host, port = srv.start_background()
         state = _one_state_name(map_database)
         result = {}
@@ -377,7 +386,7 @@ class TestGracefulShutdown:
 
         t = threading.Thread(target=run_slow)
         t.start()
-        time.sleep(0.15)  # slow query is now in flight
+        assert started.wait(timeout=10)  # slow query is now in flight
         srv.stop_background()
         t.join(timeout=10)
         assert "r" in result
