@@ -91,10 +91,9 @@ ENABLED = False
 class Counters:
     """A bag of named integer counters with hierarchical dotted names.
 
-    Deliberately dependency-free and always usable on its own: components
-    that must count unconditionally (e.g. a buffer pool's per-instance
-    :class:`~repro.storage.buffer.BufferStats`) hold a private ``Counters``
-    regardless of the global enable flag.
+    Deliberately dependency-free and always usable on its own: a
+    component that must count unconditionally can hold a private
+    ``Counters`` regardless of the global enable flag.
 
     Thread-safe: every public method takes the internal lock exactly once,
     so :meth:`snapshot` / :meth:`as_dict` return a consistent copy even

@@ -164,3 +164,62 @@ def test_lazily_decoded_frames_under_fast_switching(tmp_path):
         tree.close()
     assert not any(t.is_alive() for t in threads)
     assert not failures, failures[:5]
+
+
+def test_decoded_reads_race_writers_and_eviction(tmp_path):
+    """``get_decoded`` reads, then takes the pool lock again to fill the
+    frame's image; threads rewriting and evicting the same pages in
+    between must never make it return another page's or a torn image,
+    nor lose a hit or a miss."""
+    from repro.storage.buffer import BufferPool
+    from repro.storage.pager import Pager
+
+    pager = Pager(tmp_path / "race.db", page_size=512)
+    pages = [pager.allocate() for _ in range(12)]
+    for page in pages:
+        pager.write_page(page, b"%d:0" % page)
+    pool = BufferPool(pager, capacity=4)
+
+    def decode(payload):
+        # internal for even pages, so both replacement lists churn
+        page, version = payload.split(b":")
+        return int(page) % 2 == 1, (int(page), int(version))
+
+    failures = []
+    gets = [0] * N_THREADS
+
+    def worker(n):
+        rng = random.Random(n)
+        try:
+            for i in range(400):
+                page = rng.choice(pages)
+                if n % 4 == 0:
+                    payload = b"%d:%d" % (page, i)
+                    pool.put(page, payload, decode(payload))
+                    continue
+                gets[n] += 1
+                _is_leaf, (got, _version) = pool.get_decoded(page, decode)
+                if got != page:
+                    failures.append((page, got))
+        except Exception as exc:  # noqa: BLE001
+            failures.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(N_THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures[:5]
+    assert pool.stats.accesses == sum(gets)
+    assert pool.resident <= pool.capacity
+    for page in pages:      # no frame kept an image of older bytes
+        assert pool.get_decoded(page, decode) == decode(pool.get(page))
+    pool.flush()
+    pager.close()
