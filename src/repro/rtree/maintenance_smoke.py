@@ -1,9 +1,9 @@
 """Maintenance-loop smoke: churn, detect, repack, recover — or die.
 
 CI gate for the background maintenance path (``maintenance-smoke``).
-Builds a disk-backed picture index, degrades it with hot-spot
-insert/delete churn (the Section 3.4 update problem), then asserts the
-whole loop closes:
+Builds a disk-backed picture index, degrades it with hot-spot churn
+split quadratically (the Section 3.4 update problem; the served R* split
+keeps the same churn under WARN), then asserts the whole loop closes:
 
 1. the advisor's degradation signal crosses the WARN threshold,
 2. ``run_maintenance_cycle`` fires at least one *incremental* repack,
@@ -27,6 +27,7 @@ from repro.geometry.rect import Rect
 from repro.relational.catalog import Database
 from repro.relational.relation import Column
 from repro.rtree.maintenance import MaintenanceConfig, run_maintenance_cycle
+from repro.rtree.split import QuadraticSplit
 
 N = 1200
 CHURN = 2400
@@ -43,8 +44,10 @@ def build_db(tmp_dir: str, seed: int = 11) -> tuple[Database, dict]:
         points.insert({"id": i, "loc": Point(rng.uniform(0, 1000),
                                              rng.uniform(0, 1000))})
     picture = db.create_picture("map", Rect(0, 0, 1000, 1000))
-    picture.register_disk(points, "loc", os.path.join(tmp_dir, "map.db"),
-                          max_entries=8)
+    index = picture.register_disk(points, "loc",
+                                  os.path.join(tmp_dir, "map.db"),
+                                  max_entries=8)
+    index.split_strategy = QuadraticSplit()
     live = {rid: row["loc"] for rid, row in points.rows()}
     return db, live
 

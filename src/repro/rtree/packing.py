@@ -346,7 +346,7 @@ PACK_METHODS: dict[str, GroupFn] = {
 def pack(items: Iterable[Item], max_entries: int = 4,
          method: str = "nn", distance: str = "center",
          min_entries: Optional[int] = None,
-         split: Union[str, SplitStrategy] = "quadratic") -> RTree:
+         split: Union[str, SplitStrategy] = "rstar") -> RTree:
     """Bulk-load an R-tree from ``(rect, oid)`` pairs.
 
     This is the paper's recursive PACK (Section 3.3): group the data

@@ -1,23 +1,21 @@
-"""Guttman node-splitting algorithms.
+"""Node-splitting algorithms.
 
-When INSERT overflows a node of ``M`` entries the ``M + 1`` entries must be
-divided between two nodes.  Guttman 1984 gives three algorithms of
-increasing cost and quality; the 1985 paper's INSERT baseline inherits
-whichever is configured (our Table 1 runs use the exhaustive split, which
-is affordable at the paper's branching factor of 4 and is the strongest
-possible showing for the dynamic baseline).
-
-All strategies guarantee each side receives at least ``min_entries``
-entries so Guttman's "m-filled" requirement (Section 3.2, requirement 1)
-is preserved.  They split the tree's flat ``(x1, y1, x2, y2, ref)``
-entries; each algorithm sees an entry as an item with a ``.rect``, built
-once per split, and the groups come back as the original entries.
+When INSERT overflows a node of ``M`` entries the ``M + 1`` flat
+``(x1, y1, x2, y2, ref)`` entries are divided between two nodes.  Both
+tree forms split by R*'s choice (:class:`RStarSplit`, the default).
+Guttman 1984's three algorithms stay for the ablations: the 1985 paper's
+INSERT baseline inherits whichever is configured, and our Table 1 runs
+name the linear split, his recommended cheap one.  Every strategy gives
+each side at least ``min_entries`` entries, Guttman's "m-filled"
+requirement (Section 3.2, requirement 1).
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from repro.geometry.rect import Rect, mbr_of_rects
@@ -50,21 +48,36 @@ class SplitStrategy(ABC):
             raise ValueError(
                 f"cannot split {len(entries)} entries with minimum fill "
                 f"{min_entries}")
-        g1, g2 = self._split(
+        return self._split(entries, min_entries)
+
+    @abstractmethod
+    def _split(self, entries: Sequence[tuple], min_entries: int) -> Split:
+        """The algorithm proper, over the flat entries."""
+
+
+class _GuttmanSplit(SplitStrategy):
+    """Guttman's algorithms, which divide items with a ``.rect``."""
+
+    def _split(self, entries: Sequence[tuple], min_entries: int) -> Split:
+        g1, g2 = self._divide(
             [_Item(Rect(e[0], e[1], e[2], e[3]), e) for e in entries],
             min_entries)
         return [i.entry for i in g1], [i.entry for i in g2]
 
     @abstractmethod
-    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
-        """The algorithm proper, over items with a ``.rect``."""
+    def _divide(self, entries: Sequence[_Item], min_entries: int) -> Split:
+        """The algorithm proper, over items."""
 
 
-def _group_mbr(entries: Sequence[_Item]) -> Rect:
-    return mbr_of_rects(e.rect for e in entries)
+def _seed_groups(entries: Sequence[_Item], seeds: tuple[int, int],
+                 ) -> tuple[list[_Item], list[_Item], list[_Item]]:
+    """The groups the two *seeds* start, and the other items in order."""
+    a, b = seeds
+    return ([entries[a]], [entries[b]],
+            [e for i, e in enumerate(entries) if i != a and i != b])
 
 
-class ExhaustiveSplit(SplitStrategy):
+class ExhaustiveSplit(_GuttmanSplit):
     """Try every legal 2-partition; keep the one with least total area.
 
     Exponential in the node size, which is exactly why Guttman proposes the
@@ -74,7 +87,7 @@ class ExhaustiveSplit(SplitStrategy):
 
     name = "exhaustive"
 
-    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
+    def _divide(self, entries: Sequence[_Item], min_entries: int) -> Split:
         n = len(entries)
         indices = range(n)
         best: Split | None = None
@@ -85,9 +98,8 @@ class ExhaustiveSplit(SplitStrategy):
                 first = {0, *combo}
                 g1 = [entries[i] for i in indices if i in first]
                 g2 = [entries[i] for i in indices if i not in first]
-                if len(g2) < min_entries:
-                    continue
-                score = _group_mbr(g1).area() + _group_mbr(g2).area()
+                score = (mbr_of_rects(e.rect for e in g1).area()
+                         + mbr_of_rects(e.rect for e in g2).area())
                 if score < best_score:
                     best_score = score
                     best = (g1, g2)
@@ -95,22 +107,14 @@ class ExhaustiveSplit(SplitStrategy):
         return best
 
 
-class QuadraticSplit(SplitStrategy):
+class QuadraticSplit(_GuttmanSplit):
     """Guttman's quadratic-cost split: PickSeeds + PickNext."""
 
     name = "quadratic"
 
-    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
-        remaining = list(entries)
-        seed_a, seed_b = self._pick_seeds(remaining)
-        # Remove the later index first so positions stay valid.
-        for idx in sorted((seed_a, seed_b), reverse=True):
-            del remaining[idx]
-        g1 = [entries[seed_a]]
-        g2 = [entries[seed_b]]
-        mbr1 = g1[0].rect
-        mbr2 = g2[0].rect
-
+    def _divide(self, entries: Sequence[_Item], min_entries: int) -> Split:
+        g1, g2, remaining = _seed_groups(entries, self._pick_seeds(entries))
+        mbr1, mbr2 = g1[0].rect, g2[0].rect
         while remaining:
             # If one group must absorb everything left to reach min fill,
             # assign the rest wholesale.
@@ -169,20 +173,15 @@ class QuadraticSplit(SplitStrategy):
         return best_idx
 
 
-class LinearSplit(SplitStrategy):
+class LinearSplit(_GuttmanSplit):
     """Guttman's linear-cost split: extreme-separation seeds, cheap assign."""
 
     name = "linear"
 
-    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
-        remaining = list(entries)
-        seed_a, seed_b = self._linear_pick_seeds(remaining)
-        for idx in sorted((seed_a, seed_b), reverse=True):
-            del remaining[idx]
-        g1 = [entries[seed_a]]
-        g2 = [entries[seed_b]]
-        mbr1 = g1[0].rect
-        mbr2 = g2[0].rect
+    def _divide(self, entries: Sequence[_Item], min_entries: int) -> Split:
+        g1, g2, remaining = _seed_groups(entries,
+                                         self._linear_pick_seeds(entries))
+        mbr1, mbr2 = g1[0].rect, g2[0].rect
         for entry in remaining:
             d1 = mbr1.enlargement(entry.rect)
             d2 = mbr2.enlargement(entry.rect)
@@ -192,43 +191,30 @@ class LinearSplit(SplitStrategy):
             else:
                 g2.append(entry)
                 mbr2 = mbr2.union(entry.rect)
-        # Rebalance if one side missed the minimum fill: move the entries
-        # whose removal costs the least enlargement on the large side.
-        self._enforce_min_fill(g1, g2, min_entries)
-        self._enforce_min_fill(g2, g1, min_entries)
+        # Rebalance if one side missed the minimum fill: move the other
+        # side's last-assigned entries over.
+        for small, large in ((g1, g2), (g2, g1)):
+            while len(small) < min_entries:
+                small.append(large.pop())
         return g1, g2
-
-    @staticmethod
-    def _enforce_min_fill(small: list[_Item], large: list[_Item],
-                          min_entries: int) -> None:
-        while len(small) < min_entries:
-            small.append(large.pop())
 
     @staticmethod
     def _linear_pick_seeds(entries: Sequence[_Item]) -> tuple[int, int]:
         """Pair with greatest normalised separation along either axis."""
-        def extremes(lo_key, hi_key):
-            # Index of highest low side and lowest high side.
-            hi_lo = max(range(len(entries)), key=lambda i: lo_key(entries[i]))
-            lo_hi = min(range(len(entries)), key=lambda i: hi_key(entries[i]))
-            return hi_lo, lo_hi
+        indices = range(len(entries))
 
-        x_hi_lo, x_lo_hi = extremes(lambda e: e.rect.x1, lambda e: e.rect.x2)
-        y_hi_lo, y_lo_hi = extremes(lambda e: e.rect.y1, lambda e: e.rect.y2)
+        def axis(lo: int, hi: int) -> tuple[float, int, int]:
+            """Separation of the highest low side from the lowest high
+            side, over the entries' extent; and those two entries."""
+            hi_lo = max(indices, key=lambda i: entries[i].rect[lo])
+            lo_hi = min(indices, key=lambda i: entries[i].rect[hi])
+            width = (max(e.rect[hi] for e in entries)
+                     - min(e.rect[lo] for e in entries))
+            sep = entries[hi_lo].rect[lo] - entries[lo_hi].rect[hi]
+            return (sep / width if width > 0 else 0.0), hi_lo, lo_hi
 
-        x_width = (max(e.rect.x2 for e in entries)
-                   - min(e.rect.x1 for e in entries))
-        y_width = (max(e.rect.y2 for e in entries)
-                   - min(e.rect.y1 for e in entries))
-        x_sep = (entries[x_hi_lo].rect.x1 - entries[x_lo_hi].rect.x2)
-        y_sep = (entries[y_hi_lo].rect.y1 - entries[y_lo_hi].rect.y2)
-        x_norm = x_sep / x_width if x_width > 0 else 0.0
-        y_norm = y_sep / y_width if y_width > 0 else 0.0
-
-        if x_norm >= y_norm:
-            a, b = x_hi_lo, x_lo_hi
-        else:
-            a, b = y_hi_lo, y_lo_hi
+        x, y = axis(0, 2), axis(1, 3)
+        _norm, a, b = x if x[0] >= y[0] else y
         if a == b:
             # All entries coincide along both axes; fall back to any pair.
             b = (a + 1) % len(entries)
@@ -236,81 +222,81 @@ class LinearSplit(SplitStrategy):
 
 
 class RStarSplit(SplitStrategy):
-    """The R*-tree split (Beckmann et al. 1990), minus forced reinsert.
+    """The R*-tree split (Beckmann et al. 1990), minus forced reinsert;
+    the served split of both tree forms.
 
-    Anachronistic for the 1985 paper but the strongest *dynamic* baseline
-    a modern user would compare PACK against (ablation E14):
-
-    1. choose the split axis by the minimum sum of group margins over
-       every legal distribution of the entries sorted by lower and by
-       upper bound along that axis;
-    2. on that axis choose the distribution with minimal group-MBR
-       overlap, ties broken by minimal total area.
+    The axis is the one whose legal cuts of the entries, sorted by lower
+    and by upper bound, have the least sum of group margins; on it, the
+    cut with least group-MBR overlap wins, ties to least total area.
+    Every cut's groups are a prefix and a suffix of a sorting, so one
+    sweep from each end gives all their MBRs: four sorts and ``O(M)``
+    arithmetic on the flat entries, where quadratic costs ``O(M^2)``.
     """
 
     name = "rstar"
 
-    def _split(self, entries: Sequence[_Item], min_entries: int) -> Split:
-        best_axis_distributions = None
-        best_margin = float("inf")
-        for axis in ("x", "y"):
-            distributions = self._distributions(entries, min_entries, axis)
-            margin = sum(
-                _group_mbr(g1).perimeter() + _group_mbr(g2).perimeter()
-                for g1, g2 in distributions)
+    def _split(self, entries: Sequence[tuple], min_entries: int) -> Split:
+        n = len(entries)
+        cuts = range(min_entries, n - min_entries + 1)
+        best_margin = math.inf
+        for lo, hi in ((0, 2), (1, 3)):
+            sweeps = []
+            margin = 0.0
+            for key in (itemgetter(lo, hi), itemgetter(hi, lo)):
+                ordered = sorted(entries, key=key)
+                heads = _running_mbrs(ordered[:n - min_entries])
+                tails = _running_mbrs(ordered[:min_entries - 1:-1])
+                groups = [(heads[k - 1], tails[n - k - 1]) for k in cuts]
+                for a, b in groups:
+                    margin += ((a[2] - a[0]) + (a[3] - a[1])
+                               + ((b[2] - b[0]) + (b[3] - b[1])))
+                sweeps.append((ordered, groups))
             if margin < best_margin:
-                best_margin = margin
-                best_axis_distributions = distributions
-        assert best_axis_distributions is not None
+                best_margin, best_sweeps = margin, sweeps
 
-        best: Split | None = None
-        best_overlap = float("inf")
-        best_area = float("inf")
-        for g1, g2 in best_axis_distributions:
-            mbr1 = _group_mbr(g1)
-            mbr2 = _group_mbr(g2)
-            overlap = mbr1.intersection_area(mbr2)
-            area = mbr1.area() + mbr2.area()
-            if (overlap < best_overlap
-                    or (overlap == best_overlap and area < best_area)):
-                best_overlap = overlap
-                best_area = area
-                best = (list(g1), list(g2))
-        assert best is not None
+        best_overlap = best_area = math.inf
+        for ordered, groups in best_sweeps:
+            for k, (a, b) in zip(cuts, groups):
+                w = min(a[2], b[2]) - max(a[0], b[0])
+                h = min(a[3], b[3]) - max(a[1], b[1])
+                overlap = w * h if w > 0.0 and h > 0.0 else 0.0
+                area = ((a[2] - a[0]) * (a[3] - a[1])
+                        + (b[2] - b[0]) * (b[3] - b[1]))
+                if (overlap < best_overlap
+                        or (overlap == best_overlap and area < best_area)):
+                    best_overlap, best_area = overlap, area
+                    best = ordered[:k], ordered[k:]
         return best
 
-    @staticmethod
-    def _distributions(entries: Sequence[_Item], min_entries: int,
-                       axis: str) -> list[tuple[list[_Item], list[_Item]]]:
-        """Every legal (first k, rest) cut of the two per-axis sortings."""
-        if axis == "x":
-            lower_key = (lambda e: (e.rect.x1, e.rect.x2))
-            upper_key = (lambda e: (e.rect.x2, e.rect.x1))
-        else:
-            lower_key = (lambda e: (e.rect.y1, e.rect.y2))
-            upper_key = (lambda e: (e.rect.y2, e.rect.y1))
-        out = []
-        n = len(entries)
-        for ordered in (sorted(entries, key=lower_key),
-                        sorted(entries, key=upper_key)):
-            for k in range(min_entries, n - min_entries + 1):
-                out.append((ordered[:k], ordered[k:]))
-        return out
+
+def _running_mbrs(ordered: Sequence[tuple]) -> list[tuple]:
+    """``out[i]`` is the MBR of ``ordered[:i + 1]``."""
+    x1, y1, x2, y2 = ordered[0][:4]
+    out = []
+    for e in ordered:
+        if e[0] < x1:
+            x1 = e[0]
+        if e[1] < y1:
+            y1 = e[1]
+        if e[2] > x2:
+            x2 = e[2]
+        if e[3] > y2:
+            y2 = e[3]
+        out.append((x1, y1, x2, y2))
+    return out
 
 
 _STRATEGIES: dict[str, type[SplitStrategy]] = {
-    ExhaustiveSplit.name: ExhaustiveSplit,
-    QuadraticSplit.name: QuadraticSplit,
-    LinearSplit.name: LinearSplit,
-    RStarSplit.name: RStarSplit,
-}
+    cls.name: cls
+    for cls in (RStarSplit, ExhaustiveSplit, QuadraticSplit, LinearSplit)}
 
 
 def get_split_strategy(name: str) -> SplitStrategy:
     """Instantiate a split strategy by name.
 
     Args:
-        name: one of ``"exhaustive"``, ``"quadratic"``, ``"linear"``.
+        name: one of ``"rstar"`` (the served default), ``"exhaustive"``,
+            ``"quadratic"``, ``"linear"``.
 
     Raises:
         KeyError: for an unknown strategy name.

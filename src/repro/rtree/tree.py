@@ -30,7 +30,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 from repro import obs
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.rtree.split import SplitStrategy, get_split_strategy
+from repro.rtree.split import RStarSplit, SplitStrategy, get_split_strategy
 
 #: One node entry: ``(x1, y1, x2, y2, ref)``.
 Entry = tuple
@@ -102,13 +102,16 @@ class Tree:
     """Every R-tree algorithm, once, over ``self.store``.
 
     A subclass sets ``lock`` (a ``threading.RLock``), ``store``, ``root``
-    (the root node's ref), ``_size``, ``max_entries``, ``min_entries`` and
-    ``split_strategy``, and names the counter families its queries feed:
+    (the root node's ref), ``_size``, ``max_entries`` and ``min_entries``,
+    and names the counter families its queries feed:
     ``_count_query(nodes, leaves, tests, pruned, results)`` and
     ``_count_knn(nodes, results)``.  Every public method takes ``lock``
     for its whole run; a caller that needs several of them as one
     operation (the join kernel, a repack and its commit) holds it too.
     """
+
+    #: How an overflowing node divides: R*'s choice on both tree forms.
+    split_strategy: SplitStrategy = RStarSplit()
 
     def __len__(self) -> int:
         return self._size
@@ -632,13 +635,14 @@ class RTree(Tree):
             throughout; production block-sized trees use 50+.
         min_entries: ``m``, the minimum fill.  Defaults to ``M // 2``
             (the largest value Guttman permits).
-        split: split strategy name (``"exhaustive"``, ``"quadratic"``,
-            ``"linear"``, ``"rstar"``) or a :class:`SplitStrategy`.
+        split: ``"rstar"`` (both forms' default), an ablation's
+            ``"exhaustive"``, ``"quadratic"``, ``"linear"``, or a
+            :class:`SplitStrategy`.
     """
 
     def __init__(self, max_entries: int = 4,
                  min_entries: Optional[int] = None,
-                 split: Union[str, SplitStrategy] = "quadratic"):
+                 split: Union[str, SplitStrategy] = "rstar"):
         if max_entries < 2:
             raise ValueError("branching factor must be at least 2")
         self.max_entries = max_entries

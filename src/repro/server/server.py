@@ -538,18 +538,15 @@ class PsqlServer(ProtocolServer):
         loop = asyncio.get_running_loop()
         self._inflight += 1
         future = submit()
-        future.add_done_callback(
-            lambda _f: loop.call_soon_threadsafe(self._release_slot))
         timeout = self.config.query_timeout
         try:
             outcome = await asyncio.wait_for(
                 asyncio.wrap_future(future),
                 timeout if timeout > 0 else None)
         except asyncio.TimeoutError:
-            # Abandon: a not-yet-started task is cancelled outright (the
-            # done callback releases the slot); a running one keeps its
-            # slot until it actually finishes — that is the truthful
-            # admission-control signal.
+            # Abandon: a not-yet-started task is cancelled outright; a
+            # running one keeps its slot until it actually finishes —
+            # that is the truthful admission-control signal.
             cancel_event = getattr(future, "cancel_event", None)
             if cancel_event is not None:
                 cancel_event.set()
@@ -560,6 +557,11 @@ class PsqlServer(ProtocolServer):
         except asyncio.CancelledError:
             future.cancel()
             raise
+        finally:
+            # A finished query's slot is freed a loop step after this one,
+            # in which send() raises _active_responses: no drain between.
+            future.add_done_callback(
+                lambda _f: loop.call_soon_threadsafe(self._release_slot))
 
         if outcome.cancelled:
             # Raced a shutdown/cancel before starting; treat as shed load.

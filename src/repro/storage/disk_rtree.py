@@ -30,7 +30,6 @@ from repro.rtree.packing import (
     _lookup_method,
     _pack_levels,
 )
-from repro.rtree.split import QuadraticSplit
 from repro.rtree.tree import Entry, Tree, node_mbr
 from repro.storage import failpoints
 from repro.storage.buffer import BufferPool
@@ -180,8 +179,8 @@ class DiskRTree(Tree):
             to ``Pager.sync`` → WAL commit + data apply).
         wal_sync: commit durability, ``"fsync"`` or ``"none"``.
 
-    Queries, Guttman INSERT/DELETE (with the fixed quadratic split), the
-    walk and :meth:`validate` are :class:`~repro.rtree.tree.Tree`'s; use
+    Queries, Guttman INSERT/DELETE (splitting by R*'s choice), the walk
+    and :meth:`validate` are :class:`~repro.rtree.tree.Tree`'s; use
     :meth:`bulk_load` for PACK-style construction.  ``pool.stats`` exposes
     hit/miss counts and ``pager.reads`` the physical I/O.
     """
@@ -205,7 +204,6 @@ class DiskRTree(Tree):
             raise ValueError("branching factor must be at least 2")
         self.max_entries = max_entries
         self.min_entries = max(1, max_entries // 2)
-        self.split_strategy = QuadraticSplit()
         if self.pager.page_count <= _META_PAGE:
             # Fresh file: allocate the meta page and an empty leaf root.
             meta_page = self.pager.allocate()

@@ -125,16 +125,23 @@ class Pager:
             buffering=0)
         self._fd = self._file.fileno()
         self._wal: Optional[WriteAheadLog] = None
-        if wal_path is not None:
-            self._wal = WriteAheadLog(wal_path, page_size, sync=wal_sync)
-            self._recover()
-        if os.fstat(self._fd).st_size == 0:
-            self._page_count = 1
-            self._free_head = _FREE_SENTINEL
-            self._write_header()
-        else:
-            self._read_header()
-        self._load_free_pages()
+        try:
+            if wal_path is not None:
+                self._wal = WriteAheadLog(wal_path, page_size, sync=wal_sync)
+                self._recover()
+            if os.fstat(self._fd).st_size == 0:
+                self._page_count = 1
+                self._free_head = _FREE_SENTINEL
+                self._write_header()
+            else:
+                self._read_header()
+            self._load_free_pages()
+        except BaseException:
+            # Not close(): it would write a header over the refused file.
+            if self._wal is not None:
+                self._wal.close()
+            self._file.close()
+            raise
 
     # -- header ------------------------------------------------------------
 

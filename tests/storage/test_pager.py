@@ -1,6 +1,8 @@
 """Unit tests for the page store."""
 
+import gc
 import os
+import warnings
 
 import pytest
 
@@ -115,6 +117,22 @@ def test_corrupt_header_detected(tmp_path):
         f.write(b"XXXX")
     with pytest.raises(CorruptPageError):
         Pager(path, page_size=512)
+
+
+@pytest.mark.parametrize("damage", ["page_size", "magic"])
+def test_refused_open_closes_its_file(tmp_path, damage):
+    """An open that fails validation leaves no descriptor behind."""
+    path = tmp_path / "refused.db"
+    Pager(path, page_size=512).close()
+    if damage == "magic":
+        with open(path, "r+b") as f:
+            f.write(b"XXXX")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(PagerError):
+            Pager(path, page_size=1024 if damage == "page_size" else 512)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_io_counters(pager):
