@@ -393,6 +393,30 @@ class TestGracefulShutdown:
         assert result["r"].ok
         assert result["r"].rows == [("400",)]
 
+    def test_finished_query_holds_its_slot_until_its_reply_is_sent(
+            self, map_database, monkeypatch):
+        """Between a worker finishing and the reply being written, the
+        query must still count as in flight, or a drain poll landing
+        there closes the connection on a finished reply."""
+        in_flight = []
+        send = PsqlServer.send
+
+        async def recording_send(self, conn, reply):
+            in_flight.append((reply.status, self._inflight))
+            await send(self, conn, reply)
+
+        monkeypatch.setattr(PsqlServer, "send", recording_send)
+        srv = PsqlServer(ServerConfig(port=0, workers=1), db=map_database)
+        host, port = srv.start_background()
+        try:
+            with Client(host, port) as c:
+                for n in range(3):  # distinct texts: no cache hits
+                    assert c.query(f"select city from cities "
+                                   f"where population > {n}").ok
+        finally:
+            srv.stop_background()
+        assert [n for status, n in in_flight if status == "ok"] == [1, 1, 1]
+
 
 def faulty_session_factory(db):
     """Sessions with a function that raises a storage-layer fault."""
