@@ -112,9 +112,7 @@ class ShardServer(PsqlServer):
     """One cluster node: a primary shard or a read replica.
 
     Args:
-        config: base server parameters (thread executor assumed — the
-            cluster tier swaps databases at runtime, which process pools
-            cannot see).
+        config: base server parameters.
         db: the node's database; replicas may omit it when a *shipper*
             is given (the constructor bootstraps with one resync).
         role: ``"primary"`` or ``"replica"``.

@@ -29,6 +29,7 @@ disjoined, intersecting).
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 from repro.geometry.predicates import OPERATORS
@@ -110,11 +111,16 @@ class _Parser:
         return self._advance().text
 
     def _expect_number(self) -> float:
-        if self._cur.kind != NUMBER:
+        tok = self._cur
+        if tok.kind != NUMBER:
             raise PsqlSyntaxError(
                 f"expected a number, found {self._describe()}",
-                self._cur.position)
-        return float(self._advance().text)
+                tok.position)
+        value = float(self._advance().text)
+        if not math.isfinite(value):
+            raise PsqlSyntaxError(f"number {tok.text!r} is out of range",
+                                  tok.position)
+        return value
 
     def _describe(self) -> str:
         tok = self._cur
@@ -277,8 +283,7 @@ class _Parser:
     def _operand(self) -> ast.Expression:
         tok = self._cur
         if tok.kind == NUMBER:
-            self._advance()
-            value = float(tok.text)
+            value = self._expect_number()
             return ast.Literal(value=int(value) if value.is_integer()
                                else value)
         if tok.kind == STRING:

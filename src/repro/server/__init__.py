@@ -12,8 +12,8 @@ Pieces:
 
 - :mod:`repro.server.protocol` — the wire format (frames, escaping,
   the canonical result encoding);
-- :mod:`repro.server.service` — the worker pool (thread or process)
-  executing queries against the shared database;
+- :mod:`repro.server.service` — the thread pool executing queries
+  against the shared database;
 - :mod:`repro.server.cache` — the LRU result cache keyed on
   ``(normalized query, database generation)``;
 - :mod:`repro.server.server` — the asyncio server: session manager,

@@ -6,7 +6,7 @@ import argparse
 import asyncio
 import sys
 
-from repro.server.demo import DEFAULT_FACTORY_SPEC
+from repro.server.demo import DEFAULT_FACTORY_SPEC, resolve_factory
 from repro.server.protocol import DEFAULT_PORT
 from repro.server.server import PsqlServer, ServerConfig
 
@@ -23,11 +23,10 @@ def build_parser() -> argparse.ArgumentParser:
                              f"(default {DEFAULT_PORT})")
     parser.add_argument("--workers", type=int, default=4,
                         help="worker pool size (default 4)")
-    parser.add_argument("--executor", choices=("thread", "process"),
+    parser.add_argument("--executor", choices=("thread",),
                         default="thread",
-                        help="worker pool kind; 'process' scales CPU-"
-                             "bound search across cores but serves a "
-                             "static database (default thread)")
+                        help="worker pool kind: a thread pool over the "
+                             "one served database (the only kind)")
     parser.add_argument("--database", default=DEFAULT_FACTORY_SPEC,
                         metavar="MODULE:CALLABLE",
                         help="factory building the database to serve "
@@ -45,19 +44,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        factory = resolve_factory(args.database)
+    except ValueError as exc:
+        parser.error(str(exc))
     config = ServerConfig(
         host=args.host, port=args.port, workers=args.workers,
-        executor=args.executor, max_inflight=args.max_inflight,
-        query_timeout=args.timeout, cache_size=args.cache_size,
-        factory_spec=args.database)
-    server = PsqlServer(config)
+        max_inflight=args.max_inflight, query_timeout=args.timeout,
+        cache_size=args.cache_size)
+    server = PsqlServer(config, db=factory())
 
     async def run() -> None:
         await server.start()
         print(f"repro-psql-server listening on "
               f"{config.host}:{server.port} "
-              f"({config.workers} {config.executor} workers, "
+              f"({config.workers} thread workers, "
               f"max {config.effective_max_inflight()} in flight)",
               flush=True)
         await server.serve_forever()

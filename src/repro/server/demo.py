@@ -1,15 +1,12 @@
 """Deterministic demo database + factory resolution for the server.
 
-The server (and its process-pool workers) need a way to *name* a
-database they can each construct identically: a **factory spec** string
-``"package.module:callable"``.  :func:`resolve_factory` turns the spec
-into the callable; :func:`demo_database` is the default factory — the
-same synthetic US map the test suite and the paper's figures use, fully
-registered with pictures and packed R-tree indexes.
-
-Determinism matters twice: spawned pool workers must build *the same*
-database the parent describes, and cached results must be reproducible
-run to run.
+``python -m repro.server --database`` names the database to serve by a
+**factory spec** string ``"package.module:callable"``;
+:func:`resolve_factory` turns the spec into the callable.
+:func:`demo_database` is the default factory — the same synthetic US
+map the test suite and the paper's figures use, fully registered with
+pictures and packed R-tree indexes.  It is a pure function of its
+arguments, so cached results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -87,9 +84,8 @@ def demo_database(scale: int = 1, seed: int = 7) -> Database:
 def bench_database() -> Database:
     """Factory for the throughput benchmark: scale set via environment.
 
-    Factory specs name zero-argument callables, and spawned pool
-    workers inherit the parent's environment — so ``REPRO_DEMO_SCALE``
-    is how the benchmark sizes every worker's database identically.
+    Factory specs name zero-argument callables, so ``REPRO_DEMO_SCALE``
+    sizes the database (default 2).
     """
     scale = int(os.environ.get("REPRO_DEMO_SCALE", "2"))
     return demo_database(scale=scale)

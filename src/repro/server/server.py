@@ -28,8 +28,9 @@ closes, because the stream position can no longer be trusted.
 
 One event loop owns all connection framing, the admission gate, the
 result cache and the metrics registry; CPU work happens on the
-:class:`~repro.server.service.QueryService` pool.  The control flow for
-one ``QUERY``:
+:class:`~repro.server.service.QueryService` thread pool, whose workers
+share the one database that ``REPACK``, ``MAINTAIN`` and inserts
+change.  The control flow for one ``QUERY``:
 
 1. normalise the text (a lexer error becomes an ``ERR`` reply, nothing
    is submitted);
@@ -69,6 +70,7 @@ from repro.server import binproto, protocol
 from repro.server.cache import CachedResult, QueryCache
 from repro.server.protocol import (Response, ack_reply, error_reply,
                                    protocol_error, result_reply)
+from repro.server.scheduler import MaintenanceScheduler
 from repro.server.service import STORAGE_ERRORS, QueryService
 
 __all__ = ["ProtocolServer", "PsqlServer", "Refusal", "ServerConfig",
@@ -88,12 +90,10 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = protocol.DEFAULT_PORT    #: 0 picks an ephemeral port
     workers: int = 4
-    executor: str = "thread"             #: "thread" or "process"
     max_inflight: int = 0                #: 0 = 2 * workers
     query_timeout: float = 30.0          #: seconds; <= 0 disables
     cache_size: int = 256                #: 0 disables the result cache
     drain_timeout: float = 10.0          #: graceful-shutdown bound
-    factory_spec: str = "repro.server.demo:demo_database"
     capture: bool = True                 #: workload capture for ADVISE
     maintenance: bool = False            #: start the repack daemon enabled
     maintenance_interval: float = 30.0   #: seconds between daemon cycles
@@ -415,10 +415,10 @@ class PsqlServer(ProtocolServer):
 
     Args:
         config: server parameters.
-        db: the database to serve; omit to build one from
-            ``config.factory_spec`` (required anyway for process mode).
-        session_factory: per-connection session builder (thread mode),
-            e.g. to pre-register application pictorial functions.
+        db: the database to serve; omit to serve
+            :func:`~repro.server.demo.demo_database`.
+        session_factory: per-connection session builder, e.g. to
+            pre-register application pictorial functions.
     """
 
     def __init__(self, config: Optional[ServerConfig] = None,
@@ -428,35 +428,27 @@ class PsqlServer(ProtocolServer):
         super().__init__()
         self.service = QueryService(
             db=db, workers=self.config.workers,
-            executor=self.config.executor,
-            factory_spec=self.config.factory_spec,
             session_factory=session_factory,
             capture=self.config.capture)
         self.cache = QueryCache(capacity=self.config.cache_size)
-        # Background repack daemon (thread-executor servers only; the
-        # process pool's workers hold their own catalog copies).
-        self.scheduler = None
-        if self.config.executor == "thread":
-            from repro.server.scheduler import MaintenanceScheduler
-            self.scheduler = MaintenanceScheduler(
-                self.service.db,
-                interval=self.config.maintenance_interval,
-                enabled=self.config.maintenance,
-                on_cycle=self._after_maintenance_cycle)
+        # The background repack daemon.
+        self.scheduler = MaintenanceScheduler(
+            self.service.db,
+            interval=self.config.maintenance_interval,
+            enabled=self.config.maintenance,
+            on_cycle=self._after_maintenance_cycle)
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         """Warm the worker pool, then bind the listener."""
         self.service.start()
-        if self.scheduler is not None:
-            self.scheduler.start()
+        self.scheduler.start()
         await super().start()
 
     async def stop(self) -> None:
         self._draining = True
-        if self.scheduler is not None:
-            await asyncio.to_thread(self.scheduler.stop)
+        await asyncio.to_thread(self.scheduler.stop)
         await super().stop()
         self.service.close(wait=False)
 
@@ -498,7 +490,7 @@ class PsqlServer(ProtocolServer):
         return await self._run_query_job(
             conn, normalized,
             lambda: self.service.submit(
-                text, conn.binary, lambda: conn.session.execute(text)),
+                conn.binary, lambda: conn.session.execute(text)),
             log_text=log_text)
 
     async def _run_query_job(self, conn: _Connection, cache_key,
@@ -631,7 +623,7 @@ class PsqlServer(ProtocolServer):
         return await self._run_query_job(
             conn, cache_key,
             lambda: self.service.submit(
-                stmt.substitute(params), conn.binary,
+                conn.binary,
                 lambda: conn.session.execute_prepared(statement_id, params)))
 
     # -- the REPACK path -----------------------------------------------------
@@ -653,8 +645,8 @@ class PsqlServer(ProtocolServer):
         picture, relation = parts[0], parts[1]
         column = parts[2] if len(parts) == 3 else "loc"
         self.registry.bump("server.repacks")
-        entries = await self._offload(self.service.rebuild_index, picture,
-                                      relation, column)
+        entries = await self._offload(self.service.db.rebuild_index,
+                                      picture, relation, column)
         generation = self.generation
         dropped = self.cache.drop_stale(generation)
         self.registry.bump("server.repacks.completed")
@@ -674,11 +666,6 @@ class PsqlServer(ProtocolServer):
         action = rest.strip().lower() or "status"
         if action not in ("on", "off", "status", "run"):
             return protocol_error("usage: MAINTAIN [on|off|status|run]")
-        if self.scheduler is None:
-            return error_reply(
-                "ValueError",
-                "maintenance requires the thread executor (process "
-                "workers hold their own catalog copies)")
         self.registry.bump("server.maintains")
         if action == "on":
             self.scheduler.enable()
@@ -735,8 +722,7 @@ class PsqlServer(ProtocolServer):
         log = self.service.query_log
         if log is None:
             return ["workload capture is disabled on this server "
-                    "(process executor or capture=False); "
-                    "nothing to advise on"]
+                    "(capture=False); nothing to advise on"]
         return format_advise(advise(self.service.db, log, top=top))
 
     async def _handle_health(self, conn: _Connection, rest: str) -> Response:

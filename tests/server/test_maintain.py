@@ -109,18 +109,3 @@ class TestMaintainVerb:
             assert r.error_kind == "ProtocolError"
             assert "usage" in r.error_message
             assert c.ping()
-
-
-class TestProcessMode:
-    def test_process_executor_refuses_maintain(self, tmp_path):
-        srv = PsqlServer(ServerConfig(port=0, workers=1,
-                                      executor="process"))
-        srv.start_background()
-        try:
-            with Client(*_addr(srv)) as c:
-                r = c.maintain("on")
-                assert r.status == "error"
-                assert r.error_kind == "ValueError"
-                assert "thread executor" in r.error_message
-        finally:
-            srv.stop_background()

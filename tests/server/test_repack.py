@@ -8,7 +8,6 @@ from repro.geometry import Point, Rect
 from repro.relational import Column, Database
 from repro.server.client import Client
 from repro.server.server import PsqlServer, ServerConfig
-from repro.server.service import QueryService
 
 WINDOW_QUERY = ("select city from cities on map "
                 "at loc covered-by {500+-500, 500+-500}")
@@ -114,12 +113,3 @@ class TestRepackVerb:
             for t in threads:
                 t.join(15)
         assert not failures, failures
-
-
-def test_process_mode_refuses_repack():
-    service = QueryService(workers=1, executor="process")
-    try:
-        with pytest.raises(ValueError, match="process executor"):
-            service.rebuild_index("map", "cities")
-    finally:
-        service.close(wait=False)
