@@ -12,8 +12,10 @@ counting branch per node.  This module measures that cost directly:
 
 The acceptance bar (ISSUE): disabled / baseline < 1.10 — under 10% search
 throughput overhead.  Timing uses best-of-R over a fixed batch of windows
-(minimum is the standard noise-robust estimator for microbenchmarks); the
-three figures are also written to ``benchmarks/out/obs_overhead.txt``.
+(minimum is the standard noise-robust estimator for microbenchmarks), and
+each round runs the baseline and the disabled search back to back, so a
+box that slows down or speeds up mid-test moves both alike; the three
+figures are also written to ``benchmarks/out/obs_overhead.txt``.
 """
 
 import random
@@ -68,12 +70,15 @@ def baseline_search(tree, window):
     return results
 
 
-def best_of(repeats, fn):
-    best = float("inf")
+def best_of(repeats, *fns):
+    """Each of *fns*' fastest time over *repeats* rounds; a round runs
+    every fn once, in turn."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -91,14 +96,14 @@ def test_disabled_overhead_under_10_percent(tree, windows, report):
     assert [sorted(tree.search(w)) for w in windows[:20]] == \
            [sorted(baseline_search(tree, w)) for w in windows[:20]]
 
-    # Interleave so neither contender owns the warm cache.
+    # Interleave so neither contender owns the warm cache or a quiet
+    # spell of the box.
     run_baseline(), run_real()
-    t_baseline = best_of(REPEATS, run_baseline)
-    t_disabled = best_of(REPEATS, run_real)
+    t_baseline, t_disabled = best_of(REPEATS, run_baseline, run_real)
 
     obs.enable()
     try:
-        t_enabled = best_of(REPEATS, run_real)
+        (t_enabled,) = best_of(REPEATS, run_real)
     finally:
         obs.disable()
         obs.default_registry().reset()

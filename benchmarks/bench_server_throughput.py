@@ -1,11 +1,11 @@
 """Server throughput: QPS vs. worker count vs. client concurrency.
 
-The serving claim behind :mod:`repro.server`: a packed, read-mostly
-database scales query throughput with workers.  Searches are CPU-bound
-pure Python, so the scaling sweep uses the **process** executor (the
-thread pool is bounded by the GIL and is measured once for contrast).
-The result cache is disabled throughout — every query must actually
-walk the tree, otherwise replay masks the pool entirely.
+The server runs queries on one thread pool over its one database.
+Searches are CPU-bound pure Python, so the pool is bounded by the GIL:
+more workers overlap only socket I/O and hand-off, and the sweep records
+how throughput holds up as workers and clients grow rather than a
+speed-up.  The result cache is disabled throughout — every query must
+actually walk the tree, otherwise replay masks the pool entirely.
 
 Two sweeps, written to ``benchmarks/out/server_throughput.txt``:
 
@@ -13,10 +13,7 @@ Two sweeps, written to ``benchmarks/out/server_throughput.txt``:
 2. QPS vs. concurrent clients at the largest worker count.
 
 Smoke knobs (CI): ``REPRO_SERVER_BENCH_QUERIES`` (queries per client
-per config), ``REPRO_DEMO_SCALE`` (database size multiplier).  The
-monotonicity assertion (QPS non-decreasing from 1 to 4 workers) only
-applies where it can physically hold — ``os.cpu_count() >= 2``; a
-single-core box still runs and reports.
+per config), ``REPRO_DEMO_SCALE`` (database size multiplier).
 """
 
 from __future__ import annotations
@@ -26,7 +23,9 @@ import random
 import threading
 import time
 
+from repro.relational.catalog import Database
 from repro.server.client import Client
+from repro.server.demo import bench_database
 from repro.server.server import PsqlServer, ServerConfig
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "out",
@@ -43,10 +42,6 @@ RATIO_FLOOR = float(os.environ.get("REPRO_SERVER_BENCH_RATIO_FLOOR",
 WORKER_COUNTS = (1, 2, 4)
 CLIENT_COUNTS = (1, 4, 8)
 FIXED_CLIENTS = 8
-BENCH_FACTORY = "repro.server.demo:bench_database"
-#: Allowed backward noise between adjacent worker counts (QPS may dip
-#: by at most this fraction and still count as non-decreasing).
-SLACK = 0.10
 
 
 def _query_mix(rng: random.Random, n: int) -> list[str]:
@@ -119,14 +114,13 @@ def _drive(host: str, port: int, clients: int,
     return elapsed, completed[0]
 
 
-def _measure(executor: str, workers: int, clients: int,
+def _measure(db: Database, workers: int, clients: int,
              queries_per_client: int) -> float:
-    """QPS of one server configuration (cache disabled)."""
-    config = ServerConfig(port=0, workers=workers, executor=executor,
-                          cache_size=0, max_inflight=4 * max(clients, 1),
-                          query_timeout=120.0,
-                          factory_spec=BENCH_FACTORY)
-    server = PsqlServer(config)
+    """QPS of one server configuration over *db* (cache disabled)."""
+    config = ServerConfig(port=0, workers=workers, cache_size=0,
+                          max_inflight=4 * max(clients, 1),
+                          query_timeout=120.0)
+    server = PsqlServer(config, db=db)
     host, port = server.start_background()
     try:
         # Warm up: spin up every pool worker before the timed section.
@@ -141,25 +135,22 @@ def _measure(executor: str, workers: int, clients: int,
 
 
 def run_bench() -> dict:
-    results: dict = {"workers": [], "clients": [], "thread_contrast": None}
+    db = bench_database()
+    results: dict = {"workers": [], "clients": []}
     for w in WORKER_COUNTS:
-        qps = _measure("process", w, FIXED_CLIENTS, QUERIES_PER_CLIENT)
+        qps = _measure(db, w, FIXED_CLIENTS, QUERIES_PER_CLIENT)
         results["workers"].append((w, qps))
     for c in CLIENT_COUNTS:
-        qps = _measure("process", WORKER_COUNTS[-1], c,
+        qps = _measure(db, WORKER_COUNTS[-1], c,
                        max(QUERIES_PER_CLIENT // 2, 20))
         results["clients"].append((c, qps))
-    results["thread_contrast"] = _measure(
-        "thread", WORKER_COUNTS[-1], FIXED_CLIENTS,
-        max(QUERIES_PER_CLIENT // 2, 20))
     return results
 
 
 def write_report(results: dict) -> str:
-    cores = os.cpu_count() or 1
     lines = [
-        "Server throughput (process executor, result cache disabled)",
-        f"cores={cores} queries/client={QUERIES_PER_CLIENT} "
+        "Server throughput (thread pool, result cache disabled)",
+        f"cores={os.cpu_count() or 1} queries/client={QUERIES_PER_CLIENT} "
         f"db-scale={os.environ.get('REPRO_DEMO_SCALE', '2')}",
         "",
         f"QPS vs workers (clients={FIXED_CLIENTS}):",
@@ -170,14 +161,6 @@ def write_report(results: dict) -> str:
     lines.append(f"QPS vs clients (workers={WORKER_COUNTS[-1]}):")
     for c, qps in results["clients"]:
         lines.append(f"  clients={c:<2d}  qps={qps:8.1f}")
-    lines.append("")
-    note = ("GIL-bound; the gap to the process pool is the point"
-            if cores >= 2 else
-            "on one core the GIL costs nothing and process IPC "
-            "dominates, so threads win")
-    lines.append(f"thread-executor contrast (workers={WORKER_COUNTS[-1]}, "
-                 f"clients={FIXED_CLIENTS}): "
-                 f"qps={results['thread_contrast']:8.1f}  ({note})")
     report = "\n".join(lines) + "\n"
     os.makedirs(os.path.dirname(OUT_PATH), exist_ok=True)
     with open(OUT_PATH, "w", encoding="utf-8") as fh:
@@ -244,16 +227,15 @@ def _drive_cached(host: str, port: int, queries: list[str],
 
 def test_cached_read_protocols():
     """The zero-copy hot path gate: binary+prepared >= RATIO_FLOOR x
-    text QPS on cached reads served by one thread-executor server."""
+    text QPS on cached reads served by one server."""
     rng = random.Random(7)
     queries = _cached_read_mix(rng, 12)
     # Cached hits are ~100us apiece: measure thousands of them, or the
     # ratio drowns in GIL/scheduler noise between the two threads.
     rounds = max(QUERIES_PER_CLIENT // len(queries), 5) * 20
-    config = ServerConfig(port=0, workers=2, executor="thread",
-                          cache_size=256, query_timeout=120.0,
-                          factory_spec=BENCH_FACTORY)
-    server = PsqlServer(config)
+    config = ServerConfig(port=0, workers=2, cache_size=256,
+                          query_timeout=120.0)
+    server = PsqlServer(config, db=bench_database())
     host, port = server.start_background()
     try:
         text_qps = _drive_cached(host, port, queries, rounds,
@@ -281,17 +263,8 @@ def test_server_throughput():
     results = run_bench()
     print()
     print(write_report(results))
-    qps_by_workers = [qps for _w, qps in results["workers"]]
-    assert all(q > 0 for q in qps_by_workers)
-    if (os.cpu_count() or 1) >= 2:
-        # Monotone modulo noise: each step may lose at most SLACK, and
-        # the whole 1 -> 4 sweep must actually gain.
-        for prev, nxt in zip(qps_by_workers, qps_by_workers[1:]):
-            assert nxt >= prev * (1 - SLACK), (
-                f"QPS regressed adding workers: {qps_by_workers}")
-        assert qps_by_workers[-1] > qps_by_workers[0], (
-            f"no speedup from {WORKER_COUNTS[0]} -> {WORKER_COUNTS[-1]} "
-            f"workers: {qps_by_workers}")
+    assert all(qps > 0 for _n, qps in
+               results["workers"] + results["clients"])
 
 
 if __name__ == "__main__":

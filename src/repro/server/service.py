@@ -115,7 +115,6 @@ class QueryService:
         self.workers = workers
         self.session_factory = session_factory or Session
         self.db = db if db is not None else demo_database()
-        # Workload capture for the advisor (ADVISE verb).
         self.query_log = None
         if capture:
             from repro.advisor import QueryLog

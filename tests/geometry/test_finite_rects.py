@@ -3,8 +3,10 @@
 ``Rect.is_valid`` requires finite coordinates, so every path that stores
 a rectangle — dynamic insert on either tree form, both disk loaders in
 every order, named locations and the cluster's placement — refuses an
-infinite one with ``invalid rectangle`` before writing anything.  A
-PSQL window is not stored, so an infinite window still answers.
+infinite one with ``invalid rectangle`` before writing anything.  PSQL
+cannot spell one either: a number that overflows to inf is a syntax
+error, so no query builds a window of inf (every row) or inf - inf (a
+NaN window, no rows).
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 
 from repro.cluster.partition import ShardMap
 from repro.geometry import Rect
-from repro.psql import Session
+from repro.psql import PsqlSyntaxError, Session
 from repro.relational.catalog import Database
 from repro.rtree import RTree
 from repro.rtree.bulkload import SORT_KEYS, bulk_load_stream
@@ -90,8 +92,8 @@ def test_cluster_placement_rejects():
         shards.all_shards()
 
 
-def test_infinite_psql_window_still_answers(map_database, us_map):
-    result = Session(map_database).execute(
-        "select city from cities on us-map "
-        "at loc covered-by {500+-1e999, 500+-1e999}")
-    assert len(result) == len(us_map.cities)
+def test_infinite_psql_window_is_refused(map_database):
+    with pytest.raises(PsqlSyntaxError, match="out of range"):
+        Session(map_database).execute(
+            "select city from cities on us-map "
+            "at loc covered-by {500+-1e999, 500+-1e999}")

@@ -156,3 +156,27 @@ def test_clause_order_enforced():
     # "on" must come before "at"; "at ... on ..." is trailing garbage.
     with pytest.raises(PsqlSyntaxError):
         parse("select a from r at loc covered-by {0±1,0±1} on p")
+
+
+@pytest.mark.parametrize("query", [
+    "select a from r on p at loc covered-by {5±1e400, 5±1e400}",
+    "select a from r on p at loc covered-by {1e400±1e400, 5±1}",
+    "select a from r on p at loc covered-by {-1e400±1, 5±1}",
+    "select a from r where b > 1e400",
+])
+def test_non_finite_number_rejected(query):
+    # float("1e400") is inf; a window or literal built on it matches
+    # everything (or, as inf - inf, nothing).
+    with pytest.raises(PsqlSyntaxError, match="out of range"):
+        parse(query)
+
+
+@pytest.mark.parametrize("word", ["inf", "nan"])
+def test_non_finite_words_are_not_numbers(word):
+    with pytest.raises(PsqlSyntaxError):
+        parse(f"select a from r on p at loc covered-by {{{word}±1, 5±1}}")
+
+
+def test_large_finite_number_accepted():
+    q = parse("select a from r where b > 1e300")
+    assert q.where.right.value == 1e300

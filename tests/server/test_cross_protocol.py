@@ -184,6 +184,33 @@ class TestPrepared:
             assert "unknown prepared statement" in r.error_message
 
 
+class TestNonFiniteNumbers:
+    """``1e400`` overflows to inf: refused with a framed error, never a
+    window that returns every row (or none)."""
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_query_text_refused(self, served, binary):
+        host, port, _ = served
+        with Client(host, port, binary=binary) as c:
+            r = c.query("select city from cities on us-map "
+                        "at loc covered-by {5+-1e400, 5+-1e400}")
+            assert r.status == "error"
+            assert r.error_kind == "PsqlSyntaxError"
+            assert "out of range" in r.error_message
+            assert c.ping()
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_execute_parameter_refused(self, served, binary):
+        host, port, _ = served
+        with Client(host, port, binary=binary) as c:
+            stmt = c.prepare(TestPrepared.TEMPLATE)
+            r = c.execute(stmt, ("1e400+-1e400", "5+-1"))
+            assert r.status == "error"
+            assert r.error_kind == "PsqlSyntaxError"
+            assert "out of range" in r.error_message
+            assert c.execute(stmt, TestPrepared.PARAMS).ok
+
+
 class TestFraming:
     def _negotiate_raw(self, host, port):
         sock = socket.create_connection((host, port), timeout=30.0)

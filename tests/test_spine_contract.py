@@ -203,3 +203,40 @@ def test_local_repack_disk_shape(tmp_path):
     assert result.entries_repacked > 0
     tree.validate(check_fill=False)
     tree.close()
+
+
+# -- the server command line ----------------------------------------------------
+
+
+def _server_argv():
+    """The ``subprocess.Popen`` argv that ``serving.py`` launches the
+    server with, each non-literal element (``str(WORKERS)``, ...)
+    replaced by ``"1"``."""
+    calls = [node for node in ast.walk(SOURCES["serving.py"])
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "Popen"]
+    assert len(calls) == 1, len(calls)
+    argv = calls[0].args[0]
+    assert isinstance(argv, ast.List), ast.dump(argv)
+    return [e.value if isinstance(e, ast.Constant) else "1"
+            for e in argv.elts]
+
+
+def test_server_command_line_parses(capsys):
+    from repro.server.__main__ import build_parser
+
+    argv = _server_argv()
+    module = argv.index("-m") + 1
+    assert argv[module] == "repro.server"
+    options = argv[module + 1:]
+    for flag in ("--executor", "--database", "--cache-size"):
+        assert flag in options, flag
+    try:
+        args = build_parser().parse_args(options)
+    except SystemExit:
+        pytest.fail(f"repro.server rejects the spine's options {options}: "
+                    f"{capsys.readouterr().err}")
+    assert args.executor == "thread"
+    assert args.database == "factory:spine_database"
+    assert args.cache_size == 1
