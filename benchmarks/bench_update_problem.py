@@ -216,8 +216,6 @@ def daemon_off_table(report, tmp_path_factory):
     window on the live tree over its freshly packed self.  Past
     :data:`WARN_RATIO` HEALTH warns and the daemon would repack.
     """
-    import os as _os
-
     from repro.advisor.whatif import packed_degradation
     from repro.relational.catalog import Database
     from repro.relational.relation import Column
@@ -233,7 +231,7 @@ def daemon_off_table(report, tmp_path_factory):
                                          rng.uniform(0, 1000))})
                 for i in range(n)]
         pic = db.create_picture("map", Rect(0, 0, 1000, 1000))
-        index = pic.register_disk(rel, "loc", _os.path.join(tmp, "c.db"),
+        index = pic.register_disk(rel, "loc", os.path.join(tmp, "c.db"),
                                   max_entries=max_entries)
         if quadratic:
             index.split_strategy = QuadraticSplit()

@@ -431,7 +431,6 @@ class PsqlServer(ProtocolServer):
             session_factory=session_factory,
             capture=self.config.capture)
         self.cache = QueryCache(capacity=self.config.cache_size)
-        # The background repack daemon.
         self.scheduler = MaintenanceScheduler(
             self.service.db,
             interval=self.config.maintenance_interval,
@@ -441,7 +440,7 @@ class PsqlServer(ProtocolServer):
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Warm the worker pool, then bind the listener."""
+        """Start the worker pool and the daemon, then bind the listener."""
         self.service.start()
         self.scheduler.start()
         await super().start()
