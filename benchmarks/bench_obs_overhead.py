@@ -54,19 +54,24 @@ def windows():
 
 
 def baseline_search(tree, window):
-    """The tree's search loop with zero instrumentation — the yardstick."""
+    """The tree's search loop with zero instrumentation — the yardstick.
+
+    It takes the tree's lock as ``Tree.search`` does, so the ratio
+    charges obs and nothing else.
+    """
     wx1, wy1, wx2, wy2 = window
-    fetch = tree.store.fetch
-    results = []
-    stack = [tree.root]
-    while stack:
-        is_leaf, entries = fetch(stack.pop())
-        hits = [ref for x1, y1, x2, y2, ref in entries
-                if x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2]
-        if is_leaf:
-            results += hits
-        else:
-            stack += hits
+    with tree.lock:
+        fetch = tree.store.fetch
+        results = []
+        stack = [tree.root]
+        while stack:
+            is_leaf, entries = fetch(stack.pop())
+            hits = [ref for x1, y1, x2, y2, ref in entries
+                    if x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2]
+            if is_leaf:
+                results += hits
+            else:
+                stack += hits
     return results
 
 

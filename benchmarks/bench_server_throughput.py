@@ -39,6 +39,8 @@ QUERIES_PER_CLIENT = int(os.environ.get("REPRO_SERVER_BENCH_QUERIES",
 #: measured is gone too.  benchmarks/spine owns the absolute numbers.)
 RATIO_FLOOR = float(os.environ.get("REPRO_SERVER_BENCH_RATIO_FLOOR",
                                    "1.0"))
+#: Opens the cached-reads line, the second section of ``OUT_PATH``.
+CACHED_MARKER = "cached reads:"
 WORKER_COUNTS = (1, 2, 4)
 CLIENT_COUNTS = (1, 4, 8)
 FIXED_CLIENTS = 8
@@ -162,10 +164,26 @@ def write_report(results: dict) -> str:
     for c, qps in results["clients"]:
         lines.append(f"  clients={c:<2d}  qps={qps:8.1f}")
     report = "\n".join(lines) + "\n"
+    _write_section(sweep=report)
+    return report
+
+
+def _write_section(sweep: str = "", cached: str = "") -> None:
+    """Rewrite ``OUT_PATH`` with the worker/client sweep and the
+    cached-reads line, keeping whichever of the two this call does not
+    bring: the tests that write them may run in either order."""
+    try:
+        with open(OUT_PATH, encoding="utf-8") as fh:
+            old = fh.read()
+    except FileNotFoundError:
+        old = ""
+    old_sweep, marker, old_cached = old.partition(CACHED_MARKER)
+    sweep = (sweep or old_sweep).strip()
+    cached = cached or (marker + old_cached).strip()
     os.makedirs(os.path.dirname(OUT_PATH), exist_ok=True)
     with open(OUT_PATH, "w", encoding="utf-8") as fh:
-        fh.write(report)
-    return report
+        fh.write("\n\n".join(part for part in (sweep, cached) if part)
+                 + "\n")
 
 
 def _cached_read_mix(rng: random.Random, n: int) -> list[str]:
@@ -245,14 +263,12 @@ def test_cached_read_protocols():
     finally:
         server.stop_background()
     ratio = binary_qps / text_qps
-    report = (f"cached reads: text={text_qps:8.1f} qps  "
+    report = (f"{CACHED_MARKER} text={text_qps:8.1f} qps  "
               f"binary+prepared={binary_qps:8.1f} qps  "
               f"ratio={ratio:.2f}x (floor {RATIO_FLOOR:g}x)")
     print()
     print(report)
-    os.makedirs(os.path.dirname(OUT_PATH), exist_ok=True)
-    with open(OUT_PATH, "a", encoding="utf-8") as fh:
-        fh.write("\n" + report + "\n")
+    _write_section(cached=report)
     assert ratio >= RATIO_FLOOR, (
         f"binary protocol only {ratio:.2f}x text on cached reads "
         f"(floor {RATIO_FLOOR:g}x): text={text_qps:.1f} "

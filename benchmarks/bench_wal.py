@@ -8,6 +8,7 @@ recovery as a function of the committed backlog.
 """
 
 import os
+import random
 import time
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.geometry import Point, Rect
 from repro.relational.persistent import PersistentRelation
 from repro.relational.relation import Column
+from repro.storage.disk_rtree import DiskRTree
 
 SCHEMA = [Column("name", "str"), Column("v", "int"), Column("loc", "point")]
 N = 1500
@@ -23,6 +25,11 @@ N = 1500
 def _row(i):
     return {"name": f"row-{i}", "v": i,
             "loc": Point(float(i % 971), float((i * 7) % 971))}
+
+
+def _square(rng):
+    x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
+    return Rect(x, y, x + 1, y + 1)
 
 
 def _open(tmp_dir, label, **kw):
@@ -132,3 +139,86 @@ def test_insert_throughput_wal_none(benchmark, tmp_path_factory):
 
     benchmark(one_insert)
     rel.close()
+
+
+# -- E23b: what one flush asks of the disk ------------------------------------
+
+FLUSH_ITEMS = 20_000
+FLUSHES = 20
+MUTATIONS_PER_FLUSH = 64  # disk_churn's flush interval
+
+
+def test_flush_is_one_log_write_and_one_fsync(report, tmp_path_factory,
+                                              monkeypatch):
+    """Count, not time: a committing ``DiskRTree.flush()`` with a WAL
+    makes one log fsync and no data-file fsync; the log is written with
+    one call per ``_IOV_MAX`` buffers, which a churn commit never
+    reaches.  The data file is fsynced by the checkpoint alone."""
+    tmp_dir = str(tmp_path_factory.mktemp("walflush"))
+    rng = random.Random(23)
+    items = [(_square(rng), i) for i in range(FLUSH_ITEMS)]
+    tree = DiskRTree(os.path.join(tmp_dir, "t.db"),
+                     wal_path=os.path.join(tmp_dir, "t.wal"))
+    tree.bulk_load(items)
+    tree.flush()
+    # Keep checkpoints out of the counted window; the last line counts one.
+    tree.pager.checkpoint_bytes = 1 << 40
+    data_fd, log_fd = tree.pager._fd, tree.pager.wal._file.fileno()
+    counts = {"fsync": [], "writev": []}
+    real = {"fsync": os.fsync, "writev": os.writev}
+
+    def counting(name):
+        def call(fd, *args):
+            counts[name].append(fd)
+            return real[name](fd, *args)
+        return call
+
+    monkeypatch.setattr(os, "fsync", counting("fsync"))
+    monkeypatch.setattr(os, "writev", counting("writev"))
+    live = dict((oid, rect) for rect, oid in items)
+    next_oid = FLUSH_ITEMS
+    per_flush = []
+    for _ in range(FLUSHES):
+        for _ in range(MUTATIONS_PER_FLUSH):
+            if rng.random() < 0.5:
+                oid = rng.choice(list(live))
+                tree.delete(live.pop(oid), oid)
+            else:
+                live[next_oid] = _square(rng)
+                tree.insert(live[next_oid], next_oid)
+                next_oid += 1
+        for calls in counts.values():
+            calls.clear()
+        appends = tree.pager.wal.appends
+        tree.flush()
+        per_flush.append((tree.pager.wal.appends - appends - 1,
+                          counts["writev"].count(log_fd),
+                          counts["fsync"].count(log_fd),
+                          counts["fsync"].count(data_fd)))
+    for calls in counts.values():
+        calls.clear()
+    tree.pager.checkpoint()
+    checkpoint = (counts["fsync"].count(log_fd),
+                  counts["fsync"].count(data_fd))
+    monkeypatch.undo()
+    tree.close()
+
+    def mean(col):
+        return sum(row[col] for row in per_flush) / len(per_flush)
+
+    lines = [f"Disk I/O calls per DiskRTree.flush() with a WAL "
+             f"(wal_sync=fsync, {FLUSH_ITEMS} items, M={tree.max_entries}, "
+             f"{MUTATIONS_PER_FLUSH} mutations per flush, {FLUSHES} flushes)",
+             f"{'':>22} | {'mean':>6} {'min':>4} {'max':>4}"]
+    for col, label in enumerate(("pages committed", "log writes",
+                                 "log fsyncs", "data-file fsyncs")):
+        values = [row[col] for row in per_flush]
+        lines.append(f"{label:>22} | {mean(col):>6.1f} "
+                     f"{min(values):>4} {max(values):>4}")
+    lines.append(f"checkpoint: {checkpoint[1]} data-file fsync, "
+                 f"{checkpoint[0]} log fsync (after the truncate)")
+    report("wal_flush_io", "\n".join(lines))
+    assert all(pages > 0 for pages, *_ in per_flush)
+    assert all((writes, log_syncs, data_syncs) == (1, 1, 0)
+               for _pages, writes, log_syncs, data_syncs in per_flush)
+    assert checkpoint == (1, 1)

@@ -367,8 +367,11 @@ class Tree:
             best_growth = best_area = math.inf
             for i, (x1, y1, x2, y2, child) in enumerate(entries):
                 area = (x2 - x1) * (y2 - y1)
-                growth = ((max(x2, rx2) - min(x1, rx1))
-                          * (max(y2, ry2) - min(y1, ry1)) - area)
+                # Conditionals pick what max()/min() would, without a call.
+                growth = (((rx2 if rx2 > x2 else x2)
+                           - (rx1 if rx1 < x1 else x1))
+                          * ((ry2 if ry2 > y2 else y2)
+                             - (ry1 if ry1 < y1 else y1)) - area)
                 if growth < best_growth or (growth == best_growth
                                             and area < best_area):
                     best, ref, best_growth, best_area = i, child, growth, area

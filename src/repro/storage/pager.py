@@ -10,10 +10,11 @@ Crash safety is opt-in: constructed with ``wal_path``, the pager attaches
 a :class:`~repro.storage.wal.WriteAheadLog` and switches to a no-steal /
 redo-only protocol.  Page writes (including header updates) are *staged*
 in memory; :meth:`commit` appends their after-images plus a COMMIT record
-to the WAL, fsyncs it, and only then lets the bytes reach the data file.
-Reopening a WAL-attached pager replays whatever committed work the data
-file is missing, so a process killed at any instant loses nothing that
-was acknowledged and keeps unacknowledged work atomic.
+to the WAL in one write, fsyncs it, and only then lets the bytes reach the
+data file, which only a checkpoint (or recovery) fsyncs, before the log is
+truncated.  Reopening a WAL-attached pager replays whatever committed work
+the data file is missing, so a process killed at any instant loses nothing
+that was acknowledged and keeps unacknowledged work atomic.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Optional
 
 from repro import obs
 from repro.storage import failpoints
-from repro.storage.wal import FP_RECOVER, WriteAheadLog
+from repro.storage.wal import (FP_RECOVER, KIND_COMMIT, KIND_PAGE,
+                               WriteAheadLog)
 
 #: Default page size in bytes.  Small by modern standards, faithful to the
 #: "logical disk block" framing of the paper; configurable per Pager.
@@ -350,9 +352,10 @@ class Pager:
         """
         if self._wal is None or not self._pending:
             return
-        for page_no, raw in self._pending.items():
-            self._wal.append_page(page_no, raw)
-        self._wal.commit()
+        records = [(KIND_PAGE, page_no, raw)
+                   for page_no, raw in self._pending.items()]
+        records.append((KIND_COMMIT, 0, b""))
+        self._wal.append(records)
         if failpoints.ACTIVE:
             failpoints.hit(FP_COMMIT_BEFORE_SYNC)
         self._wal.sync()
@@ -415,14 +418,15 @@ class Pager:
     # -- lifecycle ------------------------------------------------------------
 
     def sync(self) -> None:
-        """Flush buffered writes to the operating system.
+        """Make every write so far durable.
 
-        With a WAL attached this first commits staged pages (so callers
-        using ``flush()``-style durability keep their guarantee), then
-        pushes the data file to the OS.
+        With a WAL attached that is :meth:`commit` (one log write, one
+        log fsync): the log replays what the data file lacks until a
+        :meth:`checkpoint` fsyncs it.  Without one, fsync the data file.
         """
+        if self._wal is None:
+            os.fsync(self._fd)
         self.commit()
-        os.fsync(self._fd)
 
     @property
     def is_closed(self) -> bool:

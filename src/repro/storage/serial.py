@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
+from itertools import chain
 
 _HEADER = struct.Struct("<BH")
 _ENTRY = struct.Struct("<ddddQ")
 _NODE_HEADER_SIZE = _HEADER.size
 _ENTRY_SIZE = _ENTRY.size
+#: One whole-node Struct per entry count, built on first use.
+_NODES: dict[int, struct.Struct] = {}
 
 
 def max_entries_per_page(page_payload_size: int) -> int:
@@ -41,15 +44,19 @@ def max_entries_per_page(page_payload_size: int) -> int:
 def encode_node(is_leaf: bool, entries) -> bytes:
     """Encode a node — its leaf flag and ``(x1, y1, x2, y2, pointer)``
     entries — as a page payload."""
-    if len(entries) > 0xFFFF:
+    n = len(entries)
+    if n > 0xFFFF:
         raise ValueError("entry count exceeds the u16 on-disk field")
-    parts = [_HEADER.pack(int(is_leaf), len(entries))]
-    pack = _ENTRY.pack
-    for x1, y1, x2, y2, pointer in entries:
-        if pointer < 0:
-            raise ValueError("on-disk pointers must be non-negative")
-        parts.append(pack(x1, y1, x2, y2, pointer))
-    return b"".join(parts)
+    node = _NODES.get(n)
+    if node is None:
+        node = _NODES[n] = struct.Struct("<BH" + "ddddQ" * n)
+    try:
+        return node.pack(int(is_leaf), n, *chain.from_iterable(entries))
+    except struct.error:
+        if any(entry[4] < 0 for entry in entries):
+            raise ValueError(
+                "on-disk pointers must be non-negative") from None
+        raise
 
 
 class PageEntries(Sequence):

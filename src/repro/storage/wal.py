@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from repro import obs
 from repro.storage import failpoints
@@ -56,6 +56,8 @@ _FILE_HEADER_FMT = "<4sII"  # magic, version, page_size
 _FILE_HEADER_SIZE = struct.calcsize(_FILE_HEADER_FMT)
 _REC_HEADER_FMT = "<IIQBQ"  # crc, length, lsn, kind, page_no
 _REC_HEADER_SIZE = struct.calcsize(_REC_HEADER_FMT)
+_REC_BODY = struct.Struct("<QBQ")  # the header fields the crc covers
+_IOV_MAX = 1024  # the most buffers one os.writev takes (Linux's IOV_MAX)
 
 KIND_PAGE = 1
 KIND_COMMIT = 2
@@ -135,33 +137,57 @@ class WriteAheadLog:
 
     def append_page(self, page_no: int, raw: bytes) -> None:
         """Append the full after-image of one page."""
-        if len(raw) != self.page_size:
-            raise WalError(f"page image of {len(raw)} bytes does not match "
-                           f"page size {self.page_size}")
-        self._append(KIND_PAGE, page_no, raw)
+        self.append([(KIND_PAGE, page_no, raw)])
 
     def commit(self) -> None:
-        """Append a COMMIT record and make the log durable."""
-        self._append(KIND_COMMIT, 0, b"")
-        self.commits += 1
-        if obs.ENABLED:
-            obs.active().bump("storage.wal.commits")
+        """Append a COMMIT record; :meth:`sync` makes it durable."""
+        self.append([(KIND_COMMIT, 0, b"")])
 
-    def _append(self, kind: int, page_no: int, payload: bytes) -> None:
-        if failpoints.ACTIVE:
-            failpoints.hit(FP_APPEND)
-        lsn = self._lsn
-        self._lsn += 1
-        body = struct.pack("<QBQ", lsn, kind, page_no) + payload
-        record = struct.pack("<II", zlib.crc32(body), len(payload)) + body
+    def append(self, records: Sequence[tuple[int, int, bytes]]) -> None:
+        """Append ``(kind, page_no, payload)`` records with one write:
+        ``os.writev`` of each record's header and the caller's payload
+        buffer, so no page image is copied."""
+        buffers: list[bytes | memoryview] = []
+        lsn, commits = self._lsn, 0
+        for kind, page_no, payload in records:
+            if kind == KIND_PAGE and len(payload) != self.page_size:
+                raise WalError(f"page image of {len(payload)} bytes does "
+                               f"not match page size {self.page_size}")
+            commits += kind == KIND_COMMIT
+            body = _REC_BODY.pack(lsn, kind, page_no)
+            crc = zlib.crc32(payload, zlib.crc32(body))
+            buffers += (struct.pack("<II", crc, len(payload)) + body, payload)
+            lsn += 1
         self._file.seek(0, os.SEEK_END)
-        if failpoints.ACTIVE and failpoints.hit(FP_APPEND_TORN) == "torn":
-            self._file.write(record[:max(1, len(record) // 2)])
-            failpoints.crash(FP_APPEND_TORN)
-        self._file.write(record)
-        self.appends += 1
+        if failpoints.ACTIVE:
+            for _record in records:
+                failpoints.hit(FP_APPEND)
+            for i in range(0, len(buffers), 2):
+                if failpoints.hit(FP_APPEND_TORN) == "torn":
+                    torn = buffers[i] + buffers[i + 1]
+                    self._write_all(buffers[:i]
+                                    + [torn[:max(1, len(torn) // 2)]])
+                    failpoints.crash(FP_APPEND_TORN)
+        self._write_all(buffers)
+        self._lsn = lsn
+        self.appends += len(records)
+        self.commits += commits
         if obs.ENABLED:
-            obs.active().bump("storage.wal.appends")
+            obs.active().bump("storage.wal.appends", len(records))
+            obs.active().bump("storage.wal.commits", commits)
+
+    def _write_all(self, buffers: list[bytes | memoryview]) -> None:
+        # Finish short writes and refuse stalled ones, as _write_direct does.
+        fd, i = self._file.fileno(), 0
+        while i < len(buffers):
+            written = os.writev(fd, buffers[i:i + _IOV_MAX])
+            if not written:
+                raise OSError(f"{self.path}: write stalled")
+            while i < len(buffers) and written >= len(buffers[i]):
+                written -= len(buffers[i])
+                i += 1
+            if written:
+                buffers[i] = memoryview(buffers[i])[written:]
 
     def sync(self) -> None:
         """fsync the log (no-op in ``sync="none"`` mode)."""

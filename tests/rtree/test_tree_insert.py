@@ -1,6 +1,10 @@
 """Unit tests for Guttman INSERT and tree structure."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
 from repro.rtree import RTree, SearchStats
@@ -151,3 +155,45 @@ class TestValidate:
         t._size = 99
         with pytest.raises(AssertionError):
             t.validate()
+
+
+def choose_path_reference(tree, rect):
+    """ChooseLeaf written with builtin ``min``/``max``: the reference the
+    served descent must match slot for slot."""
+    rx1, ry1, rx2, ry2 = rect
+    ref = tree.root
+    refs, slots = [ref], []
+    is_leaf, entries = tree.store.fetch(ref)
+    while not is_leaf:
+        best, best_growth, best_area = 0, math.inf, math.inf
+        for i, (x1, y1, x2, y2, child) in enumerate(entries):
+            area = (x2 - x1) * (y2 - y1)
+            growth = ((max(x2, rx2) - min(x1, rx1))
+                      * (max(y2, ry2) - min(y1, ry1)) - area)
+            if growth < best_growth or (growth == best_growth
+                                        and area < best_area):
+                best, ref, best_growth, best_area = i, child, growth, area
+        refs.append(ref)
+        slots.append(best)
+        is_leaf, entries = tree.store.fetch(ref)
+    return refs, slots
+
+
+# Small integer corners repeat rectangles and make zero-width and
+# zero-height ones common, so growth and area ties are exercised.
+_coord = st.one_of(st.integers(0, 6).map(float),
+                   st.floats(-50, 50, allow_nan=False, width=32))
+_rect = st.tuples(_coord, _coord, _coord, _coord).map(
+    lambda c: (min(c[0], c[2]), min(c[1], c[3]),
+               max(c[0], c[2]), max(c[1], c[3])))
+
+
+@given(st.lists(_rect, min_size=1, max_size=80), st.lists(_rect, max_size=10),
+       st.integers(3, 6))
+@settings(max_examples=150, deadline=None)
+def test_choose_path_matches_min_max_reference(rects, probes, max_entries):
+    tree = RTree(max_entries=max_entries)
+    tree.insert_all([(Rect(*r), i) for i, r in enumerate(rects)])
+    for probe in rects[:10] + probes:
+        assert tree._choose_path(probe) == \
+            choose_path_reference(tree, probe)

@@ -110,6 +110,37 @@ class TestWriteAheadLog:
         assert set(images) == {1}
         wal.close()
 
+    def test_short_log_writes_are_completed(self, tmp_path, monkeypatch):
+        records = [(KIND_PAGE, n, bytes([n]) * 64) for n in range(1, 5)]
+        records.append((KIND_COMMIT, 0, b""))
+        with WriteAheadLog(tmp_path / "whole.wal", page_size=64,
+                           sync="none") as wal:
+            wal.append(records)
+        real_writev = os.writev
+        calls = []
+
+        def short_writev(fd, buffers):
+            # At most 50 bytes a call, cut across buffer boundaries.
+            calls.append(len(buffers))
+            return real_writev(fd, [b"".join(buffers)[:50]])
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        with WriteAheadLog(tmp_path / "short.wal", page_size=64,
+                           sync="none") as wal:
+            wal.append(records)
+        monkeypatch.undo()
+        assert len(calls) == 8  # 4 * (25 + 64) + 25 = 381 bytes
+        assert (tmp_path / "short.wal").read_bytes() == \
+            (tmp_path / "whole.wal").read_bytes()
+
+    def test_stalled_log_write_raises(self, tmp_path, monkeypatch):
+        wal = WriteAheadLog(tmp_path / "w.wal", page_size=64, sync="none")
+        monkeypatch.setattr(os, "writev", lambda fd, buffers: 0)
+        with pytest.raises(OSError, match="stalled"):
+            wal.append_page(1, b"x" * 64)
+        monkeypatch.undo()
+        wal.close()
+
     def test_reset_truncates(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "w.wal", page_size=64, sync="none")
         wal.append_page(1, b"x" * 64)
