@@ -175,7 +175,7 @@ def test_flush_is_one_log_write_and_one_fsync(report, tmp_path_factory,
 
     monkeypatch.setattr(os, "fsync", counting("fsync"))
     monkeypatch.setattr(os, "writev", counting("writev"))
-    live = dict((oid, rect) for rect, oid in items)
+    live = {oid: rect for rect, oid in items}
     next_oid = FLUSH_ITEMS
     per_flush = []
     for _ in range(FLUSHES):
@@ -202,10 +202,6 @@ def test_flush_is_one_log_write_and_one_fsync(report, tmp_path_factory,
                   counts["fsync"].count(data_fd))
     monkeypatch.undo()
     tree.close()
-
-    def mean(col):
-        return sum(row[col] for row in per_flush) / len(per_flush)
-
     lines = [f"Disk I/O calls per DiskRTree.flush() with a WAL "
              f"(wal_sync=fsync, {FLUSH_ITEMS} items, M={tree.max_entries}, "
              f"{MUTATIONS_PER_FLUSH} mutations per flush, {FLUSHES} flushes)",
@@ -213,7 +209,7 @@ def test_flush_is_one_log_write_and_one_fsync(report, tmp_path_factory,
     for col, label in enumerate(("pages committed", "log writes",
                                  "log fsyncs", "data-file fsyncs")):
         values = [row[col] for row in per_flush]
-        lines.append(f"{label:>22} | {mean(col):>6.1f} "
+        lines.append(f"{label:>22} | {sum(values) / len(values):>6.1f} "
                      f"{min(values):>4} {max(values):>4}")
     lines.append(f"checkpoint: {checkpoint[1]} data-file fsync, "
                  f"{checkpoint[0]} log fsync (after the truncate)")
