@@ -352,10 +352,8 @@ class Pager:
         """
         if self._wal is None or not self._pending:
             return
-        records = [(KIND_PAGE, page_no, raw)
-                   for page_no, raw in self._pending.items()]
-        records.append((KIND_COMMIT, 0, b""))
-        self._wal.append(records)
+        self._wal.append([(KIND_PAGE, page_no, raw) for page_no, raw
+                          in self._pending.items()] + [(KIND_COMMIT, 0, b"")])
         if failpoints.ACTIVE:
             failpoints.hit(FP_COMMIT_BEFORE_SYNC)
         self._wal.sync()

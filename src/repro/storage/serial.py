@@ -47,15 +47,13 @@ def encode_node(is_leaf: bool, entries) -> bytes:
     n = len(entries)
     if n > 0xFFFF:
         raise ValueError("entry count exceeds the u16 on-disk field")
-    node = _NODES.get(n)
-    if node is None:
-        node = _NODES[n] = struct.Struct("<BH" + "ddddQ" * n)
+    node = _NODES.get(n) or _NODES.setdefault(
+        n, struct.Struct("<BH" + "ddddQ" * n))
     try:
         return node.pack(int(is_leaf), n, *chain.from_iterable(entries))
     except struct.error:
         if any(entry[4] < 0 for entry in entries):
-            raise ValueError(
-                "on-disk pointers must be non-negative") from None
+            raise ValueError("on-disk pointers must be non-negative")
         raise
 
 

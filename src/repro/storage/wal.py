@@ -158,7 +158,7 @@ class WriteAheadLog:
             crc = zlib.crc32(payload, zlib.crc32(body))
             buffers += (struct.pack("<II", crc, len(payload)) + body, payload)
             lsn += 1
-        self._file.seek(0, os.SEEK_END)
+        start = self._file.seek(0, os.SEEK_END)
         if failpoints.ACTIVE:
             for _record in records:
                 failpoints.hit(FP_APPEND)
@@ -168,7 +168,11 @@ class WriteAheadLog:
                     self._write_all(buffers[:i]
                                     + [torn[:max(1, len(torn) // 2)]])
                     failpoints.crash(FP_APPEND_TORN)
-        self._write_all(buffers)
+        try:
+            self._write_all(buffers)
+        except OSError:
+            self._file.truncate(start)  # a retry must not follow torn bytes
+            raise
         self._lsn = lsn
         self.appends += len(records)
         self.commits += commits

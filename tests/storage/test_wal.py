@@ -141,6 +141,31 @@ class TestWriteAheadLog:
         monkeypatch.undo()
         wal.close()
 
+    def test_failed_log_write_leaves_no_torn_bytes(self, tmp_path,
+                                                   monkeypatch):
+        """A write error mid-batch (a disk filling up) cuts the log back,
+        so the retried commit is not stranded behind a torn record."""
+        pager = open_pager(tmp_path)
+        first = pager.allocate()
+        pager.write_page(first, b"one")
+        pager.commit()
+        second = pager.allocate()
+        pager.write_page(second, b"two")
+        real_writev = os.writev
+
+        def fill_disk(fd, buffers):
+            real_writev(fd, [b"".join(buffers)[:100]])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "writev", fill_disk)
+        with pytest.raises(OSError):
+            pager.commit()
+        monkeypatch.undo()
+        pager.commit()  # the retry is acknowledged
+        images, commits = pager.wal.committed_pages()
+        assert commits == 2 and {first, second} <= set(images)
+        pager.close()
+
     def test_reset_truncates(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "w.wal", page_size=64, sync="none")
         wal.append_page(1, b"x" * 64)
