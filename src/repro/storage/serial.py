@@ -24,7 +24,7 @@ _HEADER = struct.Struct("<BH")
 _ENTRY = struct.Struct("<ddddQ")
 _NODE_HEADER_SIZE = _HEADER.size
 _ENTRY_SIZE = _ENTRY.size
-#: One whole-node Struct per entry count, built on first use.
+#: One Struct per entry count, built on first use ("4dQ": 2 codes, not 5).
 _NODES: dict[int, struct.Struct] = {}
 
 
@@ -48,7 +48,7 @@ def encode_node(is_leaf: bool, entries) -> bytes:
     if n > 0xFFFF:
         raise ValueError("entry count exceeds the u16 on-disk field")
     node = _NODES.get(n) or _NODES.setdefault(
-        n, struct.Struct("<BH" + "ddddQ" * n))
+        n, struct.Struct("<BH" + "4dQ" * n))
     try:
         return node.pack(int(is_leaf), n, *chain.from_iterable(entries))
     except struct.error:
