@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from itertools import chain
 
 _HEADER = struct.Struct("<BH")
 _ENTRY = struct.Struct("<ddddQ")
 _NODE_HEADER_SIZE = _HEADER.size
 _ENTRY_SIZE = _ENTRY.size
-#: One Struct per entry count, built on first use ("4dQ": 2 codes, not 5).
-_NODES: dict[int, struct.Struct] = {}
 
 
 def max_entries_per_page(page_payload_size: int) -> int:
@@ -44,17 +41,15 @@ def max_entries_per_page(page_payload_size: int) -> int:
 def encode_node(is_leaf: bool, entries) -> bytes:
     """Encode a node — its leaf flag and ``(x1, y1, x2, y2, pointer)``
     entries — as a page payload."""
-    n = len(entries)
-    if n > 0xFFFF:
+    if len(entries) > 0xFFFF:
         raise ValueError("entry count exceeds the u16 on-disk field")
-    node = _NODES.get(n) or _NODES.setdefault(
-        n, struct.Struct("<BH" + "4dQ" * n))
-    try:
-        return node.pack(int(is_leaf), n, *chain.from_iterable(entries))
-    except struct.error:
-        if any(entry[4] < 0 for entry in entries):
+    parts = [_HEADER.pack(int(is_leaf), len(entries))]
+    pack = _ENTRY.pack
+    for x1, y1, x2, y2, pointer in entries:
+        if pointer < 0:
             raise ValueError("on-disk pointers must be non-negative")
-        raise
+        parts.append(pack(x1, y1, x2, y2, pointer))
+    return b"".join(parts)
 
 
 class PageEntries(Sequence):

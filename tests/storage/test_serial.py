@@ -1,7 +1,5 @@
 """Unit tests for node serialisation."""
 
-import struct
-
 import pytest
 
 from hypothesis import given, settings
@@ -85,18 +83,3 @@ entry_strategy = st.tuples(
 @settings(max_examples=100, deadline=None)
 def test_roundtrip_property(is_leaf, entries):
     assert roundtrip(is_leaf, entries) == (is_leaf, tuple(entries))
-
-
-def encode_node_per_entry(is_leaf, entries):
-    """The node encoder written one entry at a time: the reference the
-    one-Struct-per-node encoder must match byte for byte."""
-    parts = [struct.pack("<BH", int(is_leaf), len(entries))]
-    parts += [struct.pack("<ddddQ", *entry) for entry in entries]
-    return b"".join(parts)
-
-
-@given(st.booleans(), st.lists(entry_strategy, max_size=120))
-@settings(max_examples=200, deadline=None)
-def test_encode_node_matches_per_entry_packing(is_leaf, entries):
-    assert encode_node(is_leaf, entries) == \
-        encode_node_per_entry(is_leaf, entries)
