@@ -114,14 +114,25 @@ def test_sync_without_a_wal_fsyncs_the_data_file(tmp_path, fsyncs):
     pager.close()
 
 
-def test_disk_tree_flush_is_one_fsync(tmp_path, fsyncs):
+def test_disk_tree_flush_is_one_fsync(tmp_path, fsyncs, monkeypatch):
     tree = DiskRTree(str(tmp_path / "t.db"), max_entries=8,
                      wal_path=str(tmp_path / "t.wal"))
     for i in range(50):
         tree.insert(Rect(i, i, i + 1, i + 1), i)
+    writes = []
+    real = os.writev
+
+    def writev(fd, buffers):
+        writes.append((fd, len(buffers)))
+        return real(fd, buffers)
+
+    monkeypatch.setattr(os, "writev", writev)
     fsyncs.clear()
     tree.flush()
     assert fsyncs == [log_fd(tree.pager)]
+    # Every staged page and the COMMIT record go out in one call.
+    [(fd, buffers)] = writes
+    assert fd == log_fd(tree.pager) and buffers > 2
     tree.close()
 
 
