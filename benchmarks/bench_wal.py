@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.geometry import Point, Rect
+from repro.relational.catalog import Picture
 from repro.relational.persistent import PersistentRelation
 from repro.relational.relation import Column
 from repro.storage.disk_rtree import DiskRTree
@@ -121,7 +122,8 @@ def test_search_path_pays_nothing(benchmark, tmp_path_factory):
     rel = _open(tmp_dir, "search", wal_sync="none")
     for i in range(800):
         rel.insert(_row(i))
-    tree = rel.build_spatial_index("loc", max_entries=32)
+    tree = Picture("map", Rect(0, 0, 1000, 1000)).register(
+        rel, "loc", max_entries=32)
     window = Rect(200, 200, 500, 500)
     expected = len(tree.search(window))
     result = benchmark(lambda: len(tree.search(window)))

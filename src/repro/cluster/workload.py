@@ -4,8 +4,8 @@ Shared by the cluster smoke check, the socket equivalence tests and the
 scaling benchmark: one seeded RNG, one list of PSQL texts that exercise
 every routing shape — narrow windows (single-shard), wide and
 boundary-spanning windows (multi-shard), every spatial operator
-including the broadcast-only ``disjoined``, where-clauses, and
-juxtaposition joins.
+including the broadcast-only ``disjoined``, where-clauses, where-only
+queries with no picture, and juxtaposition joins.
 """
 
 from __future__ import annotations
@@ -68,11 +68,17 @@ def random_queries(rng: random.Random, universe: Rect,
         "on us-map , us-map at cities.loc covered-by states.loc "
         "where population > 100000",
     ]
+    where_only = ("select city , population from cities "
+                  "where population > {n}")
     out: list[str] = []
     for i in range(n):
         roll = rng.random()
         if roll < 0.12:
             out.append(rng.choice(joins))
+            continue
+        if roll >= 0.92:
+            out.append(where_only.format(
+                n=rng.randrange(0, 4_000_000, 100_000)))
             continue
         template, ops = singles[rng.randrange(len(singles))]
         cx, dx, cy, dy = random_window(rng, universe,

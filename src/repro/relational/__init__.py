@@ -1,4 +1,4 @@
-"""The alphanumeric substrate: B-tree indexes and an in-memory relational engine.
+"""The alphanumeric substrate: B-tree indexes and a relational engine.
 
 The paper integrates pictures with a conventional relational system: "The
 relation columns that correspond to alphanumeric domains are indexed the
@@ -8,8 +8,10 @@ that conventional side:
 
 - :class:`~repro.relational.btree.BTree` — an order-configurable B+-tree
   with duplicate support and range scans.
-- :class:`~repro.relational.relation.Relation` — heap-stored tuples with
-  a schema, secondary B-tree indexes and predicate scans.
+- :class:`~repro.relational.relation.Relation` — tuples with a schema,
+  secondary B-tree indexes and predicate scans, kept in memory.
+- :class:`~repro.relational.persistent.PersistentRelation` — the same
+  relation over a durable heap file: only its row storage differs.
 - :class:`~repro.relational.catalog.Database` — the catalog binding
   relations to pictures and their R-tree spatial indexes (the ``loc``
   machinery of PSQL).

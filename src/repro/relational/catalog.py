@@ -42,13 +42,18 @@ def mbr_of_value(value: Any) -> Rect:
     """
     if isinstance(value, Point):
         return Rect.from_point(value)
-    if isinstance(value, Segment):
-        return value.mbr()
-    if isinstance(value, Region):
+    if isinstance(value, (Segment, Region)):
         return value.mbr()
     if isinstance(value, Rect):
         return value
     raise TypeError(f"{type(value).__name__} is not a pictorial value")
+
+
+def _check_pictorial(relation: Relation, column: str) -> None:
+    """Raise :class:`SchemaError` unless *relation.column* is pictorial."""
+    if not relation.column(column).is_pictorial:
+        raise SchemaError(
+            f"column {column!r} of {relation.name!r} is not pictorial")
 
 
 class Picture:
@@ -77,13 +82,9 @@ class Picture:
         Raises:
             SchemaError: when the column is not pictorial.
         """
-        col = relation.column(column)
-        if not col.is_pictorial:
-            raise SchemaError(
-                f"column {column!r} of {relation.name!r} is not pictorial")
-        items = [(mbr_of_value(row[column]), rid)
-                 for rid, row in relation.rows()]
-        tree = pack(items, max_entries=max_entries, method=method)
+        _check_pictorial(relation, column)
+        tree = pack(index_items(relation, column), max_entries=max_entries,
+                    method=method)
         self._indexes[(relation.name, column)] = tree
         return tree
 
@@ -100,14 +101,17 @@ class Picture:
         ``REPACK`` builds (see :meth:`Database.rebuild_index`).
 
         Raises:
-            SchemaError: when the column is not pictorial.
+            SchemaError: when the column is not pictorial, or when the
+                row ids are a heap file's ``RowAddress`` (no file is made).
         """
+        from repro.relational.persistent import PersistentRelation
         from repro.storage.disk_rtree import DiskRTree
 
-        col = relation.column(column)
-        if not col.is_pictorial:
+        _check_pictorial(relation, column)
+        if isinstance(relation, PersistentRelation):
             raise SchemaError(
-                f"column {column!r} of {relation.name!r} is not pictorial")
+                f"relation {relation.name!r} has RowAddress row ids; a "
+                f"disk index stores integer row ids")
         index = DiskRTree(path, max_entries=max_entries, **tree_kwargs)
         index.bulk_load_stream(index_items(relation, column))
         self._indexes[(relation.name, column)] = index
@@ -234,13 +238,11 @@ class Database:
         Raises:
             SchemaError: when the name is taken.
         """
-        if name in self._relations:
-            raise SchemaError(f"relation {name!r} already exists")
         relation = Relation(name, columns)
-        self._relations[name] = relation
+        self.attach_relation(relation)
         return relation
 
-    def attach_relation(self, relation) -> None:
+    def attach_relation(self, relation: Relation) -> None:
         """Register an externally built relation (e.g. a disk-backed
         :class:`~repro.relational.persistent.PersistentRelation`).
 
@@ -256,7 +258,7 @@ class Database:
         if relation.name in self._relations:
             raise SchemaError(f"relation {relation.name!r} already exists")
         self._relations[relation.name] = relation
-        if getattr(relation, "recovered", False):
+        if relation.recovered:
             self._generation += 1
 
     def create_persistent_relation(self, name: str,

@@ -1,4 +1,4 @@
-"""Relations: schema-checked heap storage with secondary indexes.
+"""Relations: schema-checked row storage with secondary indexes.
 
 A relation in PSQL's data model mixes alphanumeric columns (indexed "the
 usual way" with B-trees) and pictorial columns of type point / segment /
@@ -64,6 +64,12 @@ class Relation:
     tombstones so row ids stay stable (important because R-tree leaves
     reference rows by id).
 
+    Everything that touches rows goes through the storage primitives
+    ``_append``, ``_remove``, ``get``, ``get_many``, ``rows`` and
+    ``__len__``.  Here they keep rows in a list; the disk-backed
+    :class:`~repro.relational.persistent.PersistentRelation` overrides
+    the six over a heap file and inherits everything else.
+
     Example::
 
         cities = Relation("cities", [
@@ -73,6 +79,9 @@ class Relation:
         rid = cities.insert({"city": "Springfield", "state": "Avalon",
                              "population": 450_000, "loc": Point(1, 2)})
     """
+
+    #: True when opening replayed a write-ahead log (never, in memory).
+    recovered = False
 
     def __init__(self, name: str, columns: Iterable[Column]):
         self.name = name
@@ -116,12 +125,9 @@ class Relation:
     def insert(self, row: dict[str, Any]) -> RowId:
         """Append a schema-checked row; returns its stable row id."""
         self._check_row(row)
-        rid = len(self._rows)
-        stored = dict(row)
-        self._rows.append(stored)
-        self._live += 1
+        rid = self._append(row)
         for col, index in self._indexes.items():
-            index.insert(stored[col], rid)
+            index.insert(row[col], rid)
         return rid
 
     def get(self, rid: RowId) -> dict[str, Any]:
@@ -161,19 +167,7 @@ class Relation:
         row = self.get(rid)
         for col, index in self._indexes.items():
             index.delete(row[col], rid)
-        self._rows[rid] = None
-        self._live -= 1
-
-    def update(self, rid: RowId, changes: dict[str, Any]) -> None:
-        """Apply *changes* to a row, keeping indexes consistent."""
-        row = self.get(rid)
-        merged = {**row, **changes}
-        self._check_row(merged)
-        for col, index in self._indexes.items():
-            if col in changes and changes[col] != row[col]:
-                index.delete(row[col], rid)
-                index.insert(changes[col], rid)
-        row.update(changes)
+        self._remove(rid)
 
     def rows(self) -> Iterator[tuple[RowId, dict[str, Any]]]:
         """All live rows as (row id, row) pairs, heap order."""
@@ -237,6 +231,18 @@ class Relation:
                     f"column {col.name!r} expects {col.type}, got "
                     f"{type(value).__name__}")
 
+    def _append(self, row: dict[str, Any]) -> RowId:
+        """Store a checked row; returns its new row id."""
+        self._rows.append(dict(row))
+        self._live += 1
+        return len(self._rows) - 1
+
+    def _remove(self, rid: RowId) -> None:
+        """Tombstone the live row *rid*."""
+        self._rows[rid] = None
+        self._live -= 1
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cols = ", ".join(f"{c.name}:{c.type}" for c in self.columns)
-        return f"Relation({self.name!r}, [{cols}], rows={self._live})"
+        return (f"{type(self).__name__}({self.name!r}, [{cols}], "
+                f"rows={len(self)})")

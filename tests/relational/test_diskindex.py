@@ -60,6 +60,24 @@ class TestRegisterDisk:
         with pytest.raises(SchemaError, match="not pictorial"):
             pic.register_disk(rel, "city", str(tmp_path / "i.db"))
 
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_heap_relation_refused_before_any_file(self, tmp_path, rows):
+        from repro.relational.persistent import PersistentRelation
+        from repro.relational.relation import SchemaError
+
+        rel = PersistentRelation(
+            "cities", [Column("city", "str"), Column("loc", "point")],
+            str(tmp_path / "cities.heap"), wal_sync="none")
+        for i in range(rows):
+            rel.insert({"city": f"c{i}", "loc": Point(i, i)})
+        pic = Database().create_picture("map", Rect(0, 0, 10, 10))
+        path = tmp_path / "i.db"
+        with pytest.raises(SchemaError, match="RowAddress"):
+            pic.register_disk(rel, "loc", str(path))
+        assert not path.exists()
+        assert not pic.has_index("cities", "loc")
+        rel.close()
+
     def test_update_path_through_database(self, tmp_path):
         db, rel, pic = _make_db(n=50)
         disk = pic.register_disk(rel, "loc", str(tmp_path / "i.db"),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry import Point, Rect, Region, Segment
-from repro.relational import Column, SchemaError
+from repro.relational import Column, Picture, SchemaError
 from repro.relational.persistent import PersistentRelation
 from repro.relational.rowcodec import decode_row, encode_row
 
@@ -107,7 +107,8 @@ class TestPersistentRelation:
         for i in range(20):
             cities.insert({"city": f"C{i}", "population": i,
                            "loc": Point(i * 10.0, i * 10.0)})
-        tree = cities.build_spatial_index("loc", max_entries=4)
+        tree = Picture("p", Rect(0, 0, 200, 200)).register(
+            cities, "loc", max_entries=4)
         hits = tree.search(Rect(0, 0, 45, 45))
         rows = [cities.get(addr) for addr in hits]
         assert sorted(r["city"] for r in rows) == ["C0", "C1", "C2", "C3",
@@ -115,7 +116,7 @@ class TestPersistentRelation:
 
     def test_spatial_index_requires_pictorial(self, cities):
         with pytest.raises(SchemaError):
-            cities.build_spatial_index("city")
+            Picture("p", Rect(0, 0, 1, 1)).register(cities, "city")
 
     def test_index_rejects_pictorial(self, cities):
         with pytest.raises(SchemaError):
@@ -132,6 +133,20 @@ class TestPersistentRelation:
             # Index rebuilt on demand still sees the old row.
             rel.create_index("population")
             assert len(rel.lookup("population", 9)) == 1
+
+    def test_reopen_with_another_schema_is_refused(self, tmp_path):
+        path = str(tmp_path / "cities.db")
+        with PersistentRelation("cities", [Column("city", "str"),
+                                           Column("loc", "point")],
+                                path) as rel:
+            rel.insert({"city": "Keeper", "loc": Point(5, 5)})
+        with pytest.raises(SchemaError, match="another schema"):
+            PersistentRelation("cities", [Column("name", "str"),
+                                          Column("pop", "int")], path)
+        with PersistentRelation("cities", [Column("city", "str"),
+                                           Column("loc", "point")],
+                                path) as rel:
+            assert [row["city"] for _a, row in rel.rows()] == ["Keeper"]
 
     def test_region_valued_relation(self, tmp_path):
         lakes = PersistentRelation("lakes", [

@@ -100,15 +100,6 @@ class TestRows:
                              "population": 5, "loc": Point(1, 1)})
         assert rid == 3
 
-    def test_update(self, cities):
-        cities.update(0, {"population": 500_000})
-        assert cities.get(0)["population"] == 500_000
-        assert cities.get(0)["city"] == "Springfield"
-
-    def test_update_rejects_bad_type(self, cities):
-        with pytest.raises(SchemaError):
-            cities.update(0, {"population": None})
-
     def test_rows_iterates_live_only(self, cities):
         cities.delete(1)
         assert [rid for rid, _ in cities.rows()] == [0, 2]
@@ -146,12 +137,6 @@ class TestIndexes:
         cities.delete(0)
         assert [row["city"] for _r, row in cities.lookup("state", "Avalon")
                 ] == ["Lakeview"]
-
-    def test_index_tracks_updates(self, cities):
-        cities.create_index("state")
-        cities.update(0, {"state": "Cascadia"})
-        assert len(cities.lookup("state", "Avalon")) == 1
-        assert len(cities.lookup("state", "Cascadia")) == 1
 
     def test_pictorial_index_rejected(self, cities):
         with pytest.raises(SchemaError, match="pictorial"):

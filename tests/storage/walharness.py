@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.relational.catalog import Picture
 from repro.relational.persistent import PersistentRelation
 from repro.relational.relation import Column
 
@@ -95,7 +96,8 @@ def assert_consistent(rel: PersistentRelation) -> None:
         hits = [a for a, _r in rel.lookup("v", row["v"])]
         assert addr in hits
     if rows:
-        tree = rel.build_spatial_index("loc", max_entries=4)
+        tree = Picture("crash", Rect(0, 0, 100, 100)).register(
+            rel, "loc", max_entries=4)
         window = Rect(0, 0, 60, 60)
         expect = sorted(addr for addr, row in rows
                         if Rect.from_point(row["loc"]).intersects(window))
